@@ -6,9 +6,7 @@
 use arcade_core::{CompiledModel, FacilityAnalysis};
 use arcade_sim::{SimulationOptions, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
-use ctmc::{
-    ExecOptions, FoxGlynn, LinearOperator, SteadyStateMethod, SteadyStateSolver, TransientSolver,
-};
+use ctmc::{ExecOptions, FoxGlynn, LinearOperator, SteadyStateSolver, TransientSolver};
 use watertreatment::{facility, strategies, Line};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -44,9 +42,9 @@ fn engine_benchmarks(c: &mut Criterion) {
         b.iter(|| TransientSolver::new(chain).probabilities_at(100.0).unwrap())
     });
 
-    // The CSR→CSC counting-pass transpose (used by Gauss–Seidel/Jacobi setup
-    // and the backward reachability kernels), on the flat Line 2 FRF chain so
-    // the matrix is large enough to be representative.
+    // The CSR→CSC counting-pass transpose (used by the Gauss–Seidel setup), on
+    // the flat Line 2 FRF chain so the matrix is large enough to be
+    // representative.
     let flat = CompiledModel::compile_with(
         &model,
         arcade_core::ComposerOptions {
@@ -138,20 +136,10 @@ fn engine_benchmarks(c: &mut Criterion) {
         })
     });
 
-    // Gauss-Seidel is the production solver; the Jacobi and power iterations are
-    // exercised by the unit and property tests but converge too slowly on this
-    // stiff chain (repair rates ~10^4 times the failure rates) to benchmark.
-    group.bench_function(
-        format!("steady_state_{:?}", SteadyStateMethod::GaussSeidel),
-        |b| {
-            b.iter(|| {
-                SteadyStateSolver::new(chain)
-                    .method(SteadyStateMethod::GaussSeidel)
-                    .solve()
-                    .unwrap()
-            })
-        },
-    );
+    // A chain solves by Gauss–Seidel per BSCC.
+    group.bench_function("steady_state_GaussSeidel", |b| {
+        b.iter(|| SteadyStateSolver::new(chain).solve().unwrap())
+    });
 
     group.bench_function("simulation_1000_replications_reliability", |b| {
         let simulator = Simulator::new(&model).unwrap();

@@ -45,8 +45,7 @@ use arcade_lumping::{lump, InitialPartition, ProductOrbit, QuotientProduct};
 use arcade_symmetry::chain::group_identical_chains;
 use arcade_symmetry::orbit::{for_each_multiset, FactorClasses};
 use ctmc::{
-    Ctmc, CtmcError, ExecOptions, OperatorSteadyStateMethod, OperatorSteadyStateSolver,
-    OperatorTransientSolver, RewardStructure, SteadyStateSolver, TransientOptions,
+    Ctmc, ExecOptions, RewardStructure, SteadyStateSolver, TransientOptions, TransientSolver,
 };
 
 use crate::composer::{CompiledModel, ComposerOptions, StateSpaceStats};
@@ -1183,13 +1182,13 @@ impl<'a> FacilityAnalysis<'a> {
 
     /// Facility availability from the genuine joint chain **without ever
     /// materialising it**: the Kronecker-sum operator of the quotient product
-    /// is handed to [`OperatorSteadyStateSolver`], warm started from the
-    /// product form (which, the groups being independent, is already
+    /// is handed to [`SteadyStateSolver::from_operator`], warm started from
+    /// the product form (which, the groups being independent, is already
     /// stationary — the solve is then a certified fixed-point confirmation
     /// that converges in a handful of applies). Krylov runs first; if the
-    /// restarted iteration stalls the solver falls back to damped Jacobi,
-    /// whose sweeps on the uniformised chain always contract. The returned
-    /// vector is certified by the same matrix-free balance residual as the
+    /// restarted iteration stalls the solver falls back to damped Jacobi, and
+    /// `solver_tier` names the tier that answered. The returned vector is
+    /// certified by the same matrix-free balance residual as the
     /// materialised path, and the any-line-operational mass is summed over
     /// per-group masks expanded on the fly — no joint matrix, no joint state
     /// enumeration beyond the mask vectors.
@@ -1208,24 +1207,11 @@ impl<'a> FacilityAnalysis<'a> {
         let guess = product.product_distribution(self.group_stationaries()?)?;
         let any_up = self.joint_any_line_operational(&product)?;
         let operator = product.operator();
-        let exits = product.exit_rates();
-        let krylov = OperatorSteadyStateSolver::new(&operator, exits.clone())?
-            .method(OperatorSteadyStateMethod::Krylov)
-            .exec(exec)
-            .initial_guess(guess.clone())
-            .solve_counted();
-        let (joint_pi, iterations, tier) = match krylov {
-            Ok((pi, applies)) => (pi, applies, OperatorSteadyStateMethod::Krylov.tier_name()),
-            Err(CtmcError::NotConverged { .. }) => {
-                let (pi, applies) = OperatorSteadyStateSolver::new(&operator, exits)?
-                    .method(OperatorSteadyStateMethod::Jacobi)
-                    .exec(exec)
-                    .initial_guess(guess)
-                    .solve_counted()?;
-                (pi, applies, OperatorSteadyStateMethod::Jacobi.tier_name())
-            }
-            Err(other) => return Err(other.into()),
-        };
+        let (joint_pi, iterations, tier) =
+            SteadyStateSolver::from_operator(&operator, product.exit_rates())?
+                .exec(exec)
+                .initial_guess(guess)
+                .solve_reported()?;
         let residual = product.balance_residual(&joint_pi, &exec)?;
         let availability = joint_pi
             .iter()
@@ -1488,15 +1474,16 @@ impl<'a> FacilityAnalysis<'a> {
         let goal = self.joint_service_at_least(&product, service_level)?;
         let safe = vec![true; goal.len()];
         let operator = product.operator();
-        let solver = OperatorTransientSolver::with_options(
+        let solver = TransientSolver::from_operator(
             &operator,
             product.exit_rates(),
+            initial,
             TransientOptions {
                 exec: self.exec(),
                 ..TransientOptions::default()
             },
         )?;
-        let values = solver.bounded_until_many(&initial, &safe, &goal, times)?;
+        let values = solver.bounded_until_many(&safe, &goal, times)?;
         Ok(times.iter().copied().zip(values).collect())
     }
 

@@ -124,6 +124,40 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Splits `out` into contiguous [`chunk_len`]-sized shards, at most one per
+/// worker, and runs `f(start, shard)` on each — `start` being the shard's offset in
+/// `out` — returning the per-shard results in shard order.
+///
+/// This is the one sharding site of every output-parallel kernel (CSR and
+/// Kronecker-sum SpMV, fused elementwise sweeps): each worker owns a
+/// disjoint slice of the output, so a kernel that computes every output
+/// entry within one worker, in the serial accumulation order, is
+/// bit-identical for any `workers`. With one worker `f(0, out)` runs inline
+/// and no thread is spawned.
+pub fn for_each_shard<T, R, F>(out: &mut [T], workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    if workers <= 1 {
+        return vec![f(0, out)];
+    }
+    let chunk = chunk_len(out.len(), workers);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = out
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(i, shard)| scope.spawn(move || f(i * chunk, shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("no worker panicked"))
+            .collect()
+    })
+}
+
 /// Maps `f` over `items` on a pool of `exec` workers, returning the outputs
 /// in item order (first-come scheduling, deterministic reassembly).
 ///
@@ -197,6 +231,23 @@ mod tests {
                 assert_eq!(covered, len);
                 assert!(ranges.len() <= shards.max(1));
             }
+        }
+    }
+
+    #[test]
+    fn for_each_shard_covers_the_output_in_shard_order() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut out = vec![0usize; 10];
+            let starts = for_each_shard(&mut out, workers, |start, shard| {
+                for (offset, slot) in shard.iter_mut().enumerate() {
+                    *slot = start + offset;
+                }
+                start
+            });
+            assert_eq!(out, (0..10).collect::<Vec<_>>(), "{workers} workers");
+            let chunk = chunk_len(10, workers);
+            let expected: Vec<usize> = (0..10).step_by(chunk).collect();
+            assert_eq!(starts, expected, "{workers} workers");
         }
     }
 

@@ -3,9 +3,13 @@
 //! This crate provides the numerical substrate used by the Arcade dependability
 //! framework: a compressed sparse row matrix, labelled CTMCs, transient analysis
 //! via uniformisation with Fox–Glynn Poisson weights, time-bounded reachability,
-//! steady-state solvers (Gauss–Seidel, Jacobi, power iteration) with bottom
-//! strongly-connected-component (BSCC) analysis, and Markov reward models with
+//! a steady-state solver (Gauss–Seidel with bottom strongly-connected-component
+//! (BSCC) analysis for a chain; restarted GMRES with a damped-Jacobi fallback
+//! for a matrix-free rate operator), and Markov reward models with
 //! instantaneous and accumulated expected-reward measures.
+//!
+//! There is one solver per job: [`SteadyStateSolver`] and [`TransientSolver`]
+//! each take either a [`Ctmc`] or a [`LinearOperator`] plus exit rates.
 //!
 //! The algorithms are the same ones used by stochastic model checkers such as
 //! PRISM in CTMC mode, so the results obtained here are directly comparable to
@@ -44,7 +48,6 @@ pub mod exec;
 pub mod foxglynn;
 pub mod graph;
 pub mod markov;
-pub mod operator_steady_state;
 pub mod ops;
 pub mod rewards;
 pub mod sparse;
@@ -57,15 +60,22 @@ pub use exec::ExecOptions;
 pub use foxglynn::FoxGlynn;
 pub use graph::{bottom_sccs, reachable_from, strongly_connected_components};
 pub use markov::{Ctmc, CtmcBuilder, StateIndex};
-pub use operator_steady_state::{OperatorSteadyStateMethod, OperatorSteadyStateSolver};
 pub use ops::LinearOperator;
 pub use rewards::{RewardSolver, RewardStructure};
 pub use sparse::{SparseMatrix, SparseMatrixBuilder};
-pub use steady_state::{SteadyStateMethod, SteadyStateSolver};
-pub use transient::{OperatorTransientSolver, TransientOptions, TransientSolver};
+pub use steady_state::SteadyStateSolver;
+pub use transient::{TransientOptions, TransientSolver};
 
 /// Default convergence tolerance used by the iterative solvers in this crate.
 pub const DEFAULT_TOLERANCE: f64 = 1e-10;
 
 /// Default iteration cap for the iterative solvers in this crate.
 pub const DEFAULT_MAX_ITERATIONS: usize = 1_000_000;
+
+/// Tests of the matrix-free input of [`SteadyStateSolver`]: restarted GMRES,
+/// its damped-Jacobi fallback and the balance-residual certificate. The chain
+/// input is tested in [`steady_state`].
+#[cfg(test)]
+mod operator_steady_state {
+    mod tests;
+}

@@ -13,8 +13,11 @@
 //! [`ExecOptions`]. The [`SparseMatrix`] implementation delegates to the
 //! row/column-sharded CSR kernels that already guarantee this.
 
+use std::fmt::Debug;
+
 use crate::error::CtmcError;
 use crate::exec::ExecOptions;
+use crate::markov::Ctmc;
 use crate::sparse::SparseMatrix;
 
 /// A linear operator exposing the two sharded SpMV kernels the solvers use.
@@ -22,7 +25,7 @@ use crate::sparse::SparseMatrix;
 /// `left_multiply_exec` computes `y = x * A` (a row vector times the
 /// operator); `right_multiply_exec` computes `y = A * x` (the operator times
 /// a column vector). Both must be bit-identical for every thread count.
-pub trait LinearOperator {
+pub trait LinearOperator: Debug {
     /// Number of rows (the length of `x` in `x * A` and of `y` in `A * x`).
     fn num_rows(&self) -> usize;
 
@@ -81,6 +84,74 @@ impl LinearOperator for SparseMatrix {
         exec: &ExecOptions,
     ) -> Result<(), CtmcError> {
         SparseMatrix::right_multiply_exec(self, x, y, exec)
+    }
+}
+
+/// What a solver runs on: a materialised chain, or a matrix-free rate
+/// operator `R` plus the per-state exit rates `E`. Either way the generator
+/// is `Q = R − diag(E)`.
+#[derive(Debug, Clone)]
+pub(crate) enum Generator<'a> {
+    /// A labelled chain with its CSR rate matrix.
+    Chain(&'a Ctmc),
+    /// A rate operator that is never materialised (e.g. a Kronecker sum).
+    Operator {
+        rates: &'a dyn LinearOperator,
+        exit_rates: Vec<f64>,
+    },
+}
+
+impl<'a> Generator<'a> {
+    /// A validated matrix-free generator.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::DimensionMismatch`] if the operator is not square
+    /// or `exit_rates` has the wrong length, and
+    /// [`CtmcError::InvalidArgument`] for negative or non-finite exits.
+    pub(crate) fn operator(
+        rates: &'a dyn LinearOperator,
+        exit_rates: Vec<f64>,
+    ) -> Result<Self, CtmcError> {
+        if rates.num_rows() != rates.num_cols() {
+            return Err(CtmcError::DimensionMismatch {
+                expected: rates.num_rows(),
+                actual: rates.num_cols(),
+            });
+        }
+        if exit_rates.len() != rates.num_rows() {
+            return Err(CtmcError::DimensionMismatch {
+                expected: rates.num_rows(),
+                actual: exit_rates.len(),
+            });
+        }
+        if exit_rates.iter().any(|&e| !e.is_finite() || e < 0.0) {
+            return Err(CtmcError::InvalidArgument {
+                reason: "exit rates must be non-negative and finite".to_string(),
+            });
+        }
+        Ok(Generator::Operator { rates, exit_rates })
+    }
+
+    /// Number of states.
+    pub(crate) fn num_states(&self) -> usize {
+        self.exit_rates().len()
+    }
+
+    /// The off-diagonal rates `R`.
+    pub(crate) fn rates(&self) -> &'a dyn LinearOperator {
+        match self {
+            Generator::Chain(chain) => chain.rate_matrix(),
+            Generator::Operator { rates, .. } => *rates,
+        }
+    }
+
+    /// The exit rates `E(s) = Σ_{s'} R[s][s']`.
+    pub(crate) fn exit_rates(&self) -> &[f64] {
+        match self {
+            Generator::Chain(chain) => chain.exit_rates(),
+            Generator::Operator { exit_rates, .. } => exit_rates,
+        }
     }
 }
 

@@ -172,7 +172,7 @@ impl SparseMatrix {
                 actual: y.len(),
             });
         }
-        self.scatter_columns(x, y, 0, false);
+        self.scatter_columns(x, y, 0);
         Ok(())
     }
 
@@ -187,14 +187,7 @@ impl SparseMatrix {
     /// actually scattered. Per output column the accumulation order is
     /// increasing row order — exactly the serial kernel — for any `c0`,
     /// shard width or tile width.
-    ///
-    /// When `track_delta` is set the kernel also returns
-    /// `max |shard[j] - x[c0 + j]|`, folded tile by tile while the freshly
-    /// written slice is still hot (callers guarantee a square matrix). The
-    /// per-element differences are taken from bit-identical values and merged
-    /// with `f64::max`, which is order-independent, so the returned norm is
-    /// the same for every shard and tile layout.
-    fn scatter_columns(&self, x: &[f64], shard: &mut [f64], c0: usize, track_delta: bool) -> f64 {
+    fn scatter_columns(&self, x: &[f64], shard: &mut [f64], c0: usize) {
         shard.iter_mut().for_each(|v| *v = 0.0);
         let c1 = c0 + shard.len();
         // Per-row cursor into the entries of the row at column >= the current
@@ -206,7 +199,6 @@ impl SparseMatrix {
                 start + self.cols[start..end].partition_point(|&c| c < c0)
             })
             .collect();
-        let mut delta = 0.0f64;
         let mut t0 = c0;
         while t0 < c1 {
             let t1 = (t0 + SPMV_TILE_COLS).min(c1);
@@ -227,14 +219,8 @@ impl SparseMatrix {
                 }
                 cursor[row] = idx;
             }
-            if track_delta {
-                for (out, xi) in shard[t0 - c0..t1 - c0].iter().zip(x[t0..t1].iter()) {
-                    delta = delta.max((out - xi).abs());
-                }
-            }
             t0 = t1;
         }
-        delta
     }
 
     /// Computes `y = A * x` (matrix times column-vector) and stores the result in `y`.
@@ -304,78 +290,8 @@ impl SparseMatrix {
                 actual: y.len(),
             });
         }
-        let chunk = crate::exec::chunk_len(self.num_cols, workers);
-        std::thread::scope(|scope| {
-            for (i, shard) in y.chunks_mut(chunk).enumerate() {
-                let c0 = i * chunk;
-                scope.spawn(move || {
-                    self.scatter_columns(x, shard, c0, false);
-                });
-            }
-        });
+        crate::exec::for_each_shard(y, workers, |c0, shard| self.scatter_columns(x, shard, c0));
         Ok(())
-    }
-
-    /// Computes `y = x * A` and returns `max_c |y[c] - x[c]|` in the same
-    /// sweep, sharded across the workers of `exec`.
-    ///
-    /// This is the one-pass kernel behind the iterative stationary solvers:
-    /// the successive-iterate delta is folded per column tile while the
-    /// freshly scattered slice is still cache-hot, instead of re-walking the
-    /// two vectors after the multiply. `y` is bit-identical to
-    /// [`SparseMatrix::left_multiply`] and the returned norm is bit-identical
-    /// for every thread count (per-shard partial maxima merge with
-    /// `f64::max`, which is order-independent).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::DimensionMismatch`] if the matrix is not square
-    /// (the delta pairs output column `c` with input row `c`), or on the same
-    /// length checks as [`SparseMatrix::left_multiply`].
-    pub fn left_multiply_delta_exec(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        exec: &ExecOptions,
-    ) -> Result<f64, CtmcError> {
-        if self.num_rows != self.num_cols {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.num_rows,
-                actual: self.num_cols,
-            });
-        }
-        if x.len() != self.num_rows {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.num_rows,
-                actual: x.len(),
-            });
-        }
-        if y.len() != self.num_cols {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.num_cols,
-                actual: y.len(),
-            });
-        }
-        let workers = exec.workers_for(self.num_entries()).min(self.num_cols);
-        if workers <= 1 {
-            return Ok(self.scatter_columns(x, y, 0, true));
-        }
-        let chunk = crate::exec::chunk_len(self.num_cols, workers);
-        let delta = std::thread::scope(|scope| {
-            let handles: Vec<_> = y
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, shard)| {
-                    let c0 = i * chunk;
-                    scope.spawn(move || self.scatter_columns(x, shard, c0, true))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter shard panicked"))
-                .fold(0.0f64, f64::max)
-        });
-        Ok(delta)
     }
 
     /// Computes `y = A * x` sharded across the workers of `exec`.
@@ -410,20 +326,14 @@ impl SparseMatrix {
                 actual: y.len(),
             });
         }
-        let chunk = crate::exec::chunk_len(self.num_rows, workers);
-        std::thread::scope(|scope| {
-            for (i, shard) in y.chunks_mut(chunk).enumerate() {
-                let start = i * chunk;
-                scope.spawn(move || {
-                    for (r, out) in shard.iter_mut().enumerate() {
-                        let (cols, values) = self.row(start + r);
-                        let mut acc = 0.0;
-                        for (c, v) in cols.iter().zip(values.iter()) {
-                            acc += v * x[*c];
-                        }
-                        *out = acc;
-                    }
-                });
+        crate::exec::for_each_shard(y, workers, |start, shard| {
+            for (r, out) in shard.iter_mut().enumerate() {
+                let (cols, values) = self.row(start + r);
+                let mut acc = 0.0;
+                for (c, v) in cols.iter().zip(values.iter()) {
+                    acc += v * x[*c];
+                }
+                *out = acc;
             }
         });
         Ok(())
@@ -827,36 +737,6 @@ mod tests {
             m.left_multiply_exec(&x, &mut y, &exec).unwrap();
             assert_eq!(y, reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn fused_delta_matches_the_two_pass_computation() {
-        let n = SPMV_TILE_COLS + 700;
-        let m = large_random_matrix(n, n, 77);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).cos() + 1.1).collect();
-        let mut reference = vec![0.0; n];
-        m.left_multiply(&x, &mut reference).unwrap();
-        let expected_delta = reference
-            .iter()
-            .zip(x.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let exec = ExecOptions::with_threads(threads);
-            let mut y = vec![f64::NAN; n];
-            let delta = m.left_multiply_delta_exec(&x, &mut y, &exec).unwrap();
-            assert_eq!(y, reference, "{threads} threads");
-            assert_eq!(delta, expected_delta, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn fused_delta_requires_a_square_matrix() {
-        let m = large_random_matrix(128, 96, 5);
-        let mut y = vec![0.0; 96];
-        assert!(m
-            .left_multiply_delta_exec(&vec![0.0; 128], &mut y, &ExecOptions::serial())
-            .is_err());
     }
 
     #[test]

@@ -7,6 +7,20 @@
 //! probabilities (the CSL `P=? [ a U<=t b ]` operator) by the standard
 //! absorbing-state transformation, and the "expected total time spent per
 //! state" vector used for accumulated-reward measures.
+//!
+//! Every measure runs through one uniformisation loop. Only the step
+//! `x ↦ x·P` (or `P·x` for bounded until) depends on the input: a chain
+//! precomputes `P` as a CSR matrix; a rate operator plus exit rates
+//! ([`TransientSolver::from_operator`], e.g. the Kronecker sum of per-factor
+//! quotients from `arcade_lumping::product`) applies `x + (x·R − x∘E)/q`
+//! directly, with absorbing states masked on the fly, so coupling-free
+//! facility transients run in `O(states)` memory. The two steps round
+//! differently (`I` and the diagonal are applied outside the operator), so
+//! the inputs agree to numerical tolerance rather than bit-for-bit; each is
+//! bit-identical across thread counts whenever its kernels are (the
+//! [`crate::ops`] contract).
+
+use std::borrow::Cow;
 
 use arcade_telemetry::Recorder;
 
@@ -14,6 +28,8 @@ use crate::error::CtmcError;
 use crate::exec::ExecOptions;
 use crate::foxglynn::FoxGlynn;
 use crate::markov::{Ctmc, StateIndex};
+use crate::ops::{Generator, LinearOperator};
+use crate::sparse::SparseMatrix;
 
 /// Options controlling the uniformisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,34 +55,60 @@ impl Default for TransientOptions {
     }
 }
 
-/// Transient (time-dependent) analysis of a CTMC.
+/// Transient (time-dependent) analysis of a labelled chain or a matrix-free
+/// rate operator (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TransientSolver<'a> {
-    chain: &'a Ctmc,
+    generator: Generator<'a>,
+    initial: Cow<'a, [f64]>,
     options: TransientOptions,
 }
 
 impl<'a> TransientSolver<'a> {
     /// Creates a solver with default options.
     pub fn new(chain: &'a Ctmc) -> Self {
-        TransientSolver {
-            chain,
-            options: TransientOptions::default(),
-        }
+        Self::with_options(chain, TransientOptions::default())
     }
 
     /// Creates a solver with explicit options.
     pub fn with_options(chain: &'a Ctmc, options: TransientOptions) -> Self {
-        TransientSolver { chain, options }
+        TransientSolver {
+            generator: Generator::Chain(chain),
+            initial: Cow::Borrowed(chain.initial_distribution()),
+            options,
+        }
     }
 
-    /// The chain being analysed.
-    pub fn chain(&self) -> &Ctmc {
-        self.chain
+    /// Creates a matrix-free solver for the rate operator `rates` with the
+    /// given exit rates, started from `initial`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::DimensionMismatch`] if the operator is not square
+    /// or `exit_rates` or `initial` has the wrong length, and
+    /// [`CtmcError::InvalidArgument`] for negative or non-finite exits.
+    pub fn from_operator(
+        rates: &'a dyn LinearOperator,
+        exit_rates: Vec<f64>,
+        initial: Vec<f64>,
+        options: TransientOptions,
+    ) -> Result<Self, CtmcError> {
+        let generator = Generator::operator(rates, exit_rates)?;
+        if initial.len() != generator.num_states() {
+            return Err(CtmcError::DimensionMismatch {
+                expected: generator.num_states(),
+                actual: initial.len(),
+            });
+        }
+        Ok(TransientSolver {
+            generator,
+            initial: Cow::Owned(initial),
+            options,
+        })
     }
 
     /// Computes the state probability vector at time `t`, starting from the
-    /// chain's initial distribution.
+    /// initial distribution.
     ///
     /// # Errors
     ///
@@ -93,44 +135,16 @@ impl<'a> TransientSolver<'a> {
     /// Returns [`CtmcError::InvalidArgument`] if any time is negative or not
     /// finite and propagates numerics errors.
     pub fn probabilities_at_many(&self, times: &[f64]) -> Result<Vec<Vec<f64>>, CtmcError> {
-        for &t in times {
-            self.validate_time(t)?;
-        }
-        let initial = self.chain.initial_distribution().to_vec();
-        if self.chain.max_exit_rate() == 0.0 || times.iter().all(|&t| t == 0.0) {
-            return Ok(times.iter().map(|_| initial.clone()).collect());
-        }
-        let (q, p) = uniformize_matrix(self.chain, &self.options)?;
-        let windows = self.poisson_windows(q, times)?;
-        let global_right = max_right(&windows);
-        let n = self.chain.num_states();
-        let mut span = Recorder::current().span("transient");
-        span.count("states", n as u64);
-        span.count("steps", global_right as u64 + 1);
-        span.count("points", times.len() as u64);
-
-        let mut vk = initial.clone(); // pi(0) * P^k
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut scratch = vec![0.0; n];
-
-        for k in 0..=global_right {
-            for (window, result) in windows.iter().zip(results.iter_mut()) {
-                let Some(fg) = window else { continue };
-                let w = fg.weight(k);
-                if w > 0.0 {
-                    for s in 0..n {
-                        result[s] += w * vk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                p.left_multiply_exec(&vk, &mut scratch, &self.options.exec)?;
-                std::mem::swap(&mut vk, &mut scratch);
-            }
-        }
+        validate_times(times)?;
+        let Some(q) = self.uniformization_rate(None, times)? else {
+            return Ok(times.iter().map(|_| self.initial.to_vec()).collect());
+        };
+        let step = self.forward_step(q)?;
+        let mut results =
+            self.uniformise(q, step, self.initial.to_vec(), times, Accumulate::Poisson)?;
         for (result, &t) in results.iter_mut().zip(times.iter()) {
             if t == 0.0 {
-                result.copy_from_slice(&initial);
+                result.copy_from_slice(&self.initial);
             }
         }
         Ok(results)
@@ -163,67 +177,17 @@ impl<'a> TransientSolver<'a> {
     /// Returns [`CtmcError::InvalidArgument`] if any time is negative or not
     /// finite and propagates numerics errors.
     pub fn expected_sojourn_times_many(&self, times: &[f64]) -> Result<Vec<Vec<f64>>, CtmcError> {
-        for &t in times {
-            self.validate_time(t)?;
-        }
-        let n = self.chain.num_states();
-        if self.chain.max_exit_rate() == 0.0 {
-            // No transitions at all: time accumulates in the initial states.
+        validate_times(times)?;
+        let Some(q) = self.uniformization_rate(None, times)? else {
+            // Nothing moves (or no time passes): time accumulates in the
+            // initial states.
             return Ok(times
                 .iter()
-                .map(|&t| {
-                    self.chain
-                        .initial_distribution()
-                        .iter()
-                        .map(|p| p * t)
-                        .collect()
-                })
+                .map(|&t| self.initial.iter().map(|p| p * t).collect())
                 .collect());
-        }
-        if times.iter().all(|&t| t == 0.0) {
-            return Ok(times.iter().map(|_| vec![0.0; n]).collect());
-        }
-        let (q, p) = uniformize_matrix(self.chain, &self.options)?;
-        let windows = self.poisson_windows(q, times)?;
-        let global_right = max_right(&windows);
-        let mut span = Recorder::current().span("transient");
-        span.count("states", n as u64);
-        span.count("steps", global_right as u64 + 1);
-        span.count("points", times.len() as u64);
-
-        let mut vk = self.chain.initial_distribution().to_vec();
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut scratch = vec![0.0; n];
-        let mut cdfs = vec![0.0; times.len()];
-
-        // Beyond a point's own fg.right the factor (1 - F(k)) is negligible;
-        // each point accumulates only within its window.
-        for k in 0..=global_right {
-            for ((window, result), cdf) in
-                windows.iter().zip(results.iter_mut()).zip(cdfs.iter_mut())
-            {
-                let Some(fg) = window else { continue };
-                if k > fg.right {
-                    continue;
-                }
-                *cdf += fg.weight(k);
-                let factor = (1.0 - *cdf).max(0.0) / q;
-                // Note: the k-th term of the integral uses (1 - F(k)) where F includes k.
-                if factor > 0.0 {
-                    for s in 0..n {
-                        result[s] += factor * vk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                p.left_multiply_exec(&vk, &mut scratch, &self.options.exec)?;
-                std::mem::swap(&mut vk, &mut scratch);
-            }
-        }
-        // Jumps below the truncation window (k < fg.left) have weight zero in the
-        // Poisson CDF accumulator above, so their factor is exactly 1/q and they
-        // are already included by the loop starting at k = 0.
-        Ok(results)
+        };
+        let step = self.forward_step(q)?;
+        self.uniformise(q, step, self.initial.to_vec(), times, Accumulate::Sojourn)
     }
 
     /// Time-bounded reachability: the probability, per the initial distribution,
@@ -237,14 +201,10 @@ impl<'a> TransientSolver<'a> {
     ///
     /// Returns an error if the masks have the wrong length or `t` is invalid.
     pub fn bounded_until(&self, safe: &[bool], goal: &[bool], t: f64) -> Result<f64, CtmcError> {
-        let probs = self.bounded_until_per_state(safe, goal, t)?;
         Ok(self
-            .chain
-            .initial_distribution()
-            .iter()
-            .zip(probs.iter())
-            .map(|(p0, p)| p0 * p)
-            .sum())
+            .bounded_until_many(safe, goal, std::slice::from_ref(&t))?
+            .pop()
+            .expect("one time bound yields one probability"))
     }
 
     /// Per-state time-bounded reachability probabilities (the probability of the
@@ -285,63 +245,32 @@ impl<'a> TransientSolver<'a> {
         goal: &[bool],
         times: &[f64],
     ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        for &t in times {
-            self.validate_time(t)?;
-        }
-        let n = self.chain.num_states();
-        if safe.len() != n {
-            return Err(CtmcError::DimensionMismatch {
-                expected: n,
-                actual: safe.len(),
-            });
-        }
-        if goal.len() != n {
-            return Err(CtmcError::DimensionMismatch {
-                expected: n,
-                actual: goal.len(),
-            });
+        validate_times(times)?;
+        let n = self.generator.num_states();
+        for mask in [safe, goal] {
+            if mask.len() != n {
+                return Err(CtmcError::DimensionMismatch {
+                    expected: n,
+                    actual: mask.len(),
+                });
+            }
         }
 
         // States that are neither safe nor goal act as sinks (the path is cut);
         // goal states are made absorbing so "reached by t" equals "in goal at t".
         let absorbing: Vec<bool> = (0..n).map(|s| goal[s] || !safe[s]).collect();
-        let transformed = self.chain.make_absorbing(&absorbing)?;
-
         let indicator: Vec<f64> = (0..n).map(|s| if goal[s] { 1.0 } else { 0.0 }).collect();
-        if transformed.max_exit_rate() == 0.0 || times.iter().all(|&t| t == 0.0) {
+        let Some(q) = self.uniformization_rate(Some(&absorbing), times)? else {
             // Every state absorbing after the transformation (nothing moves)
             // or no positive bound: the goal indicator answers every query.
             return Ok(times.iter().map(|_| indicator.clone()).collect());
-        }
+        };
 
-        // Work on the transposed uniformised matrix so that a single pass yields
-        // the per-state probabilities: x_{k+1} = P * x_k with x_0 = 1_goal.
-        let (q, p) = uniformize_matrix(&transformed, &self.options)?;
-        let windows = self.poisson_windows(q, times)?;
-        let global_right = max_right(&windows);
-        let mut span = Recorder::current().span("transient");
-        span.count("states", n as u64);
-        span.count("steps", global_right as u64 + 1);
-        span.count("points", times.len() as u64);
-
-        let mut xk = indicator.clone();
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut scratch = vec![0.0; n];
-        for k in 0..=global_right {
-            for (window, result) in windows.iter().zip(results.iter_mut()) {
-                let Some(fg) = window else { continue };
-                let w = fg.weight(k);
-                if w > 0.0 {
-                    for s in 0..n {
-                        result[s] += w * xk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                p.right_multiply_exec(&xk, &mut scratch, &self.options.exec)?;
-                std::mem::swap(&mut xk, &mut scratch);
-            }
-        }
+        // A backward pass yields the per-state probabilities at once:
+        // x_{k+1} = P * x_k with x_0 = 1_goal.
+        let step = self.backward_step(q, &absorbing)?;
+        let mut results =
+            self.uniformise(q, step, indicator.clone(), times, Accumulate::Poisson)?;
         for (result, &t) in results.iter_mut().zip(times.iter()) {
             if t == 0.0 {
                 result.copy_from_slice(&indicator);
@@ -375,8 +304,7 @@ impl<'a> TransientSolver<'a> {
         Ok(per_state
             .iter()
             .map(|probs| {
-                self.chain
-                    .initial_distribution()
+                self.initial
                     .iter()
                     .zip(probs.iter())
                     .map(|(p0, p)| p0 * p)
@@ -391,7 +319,7 @@ impl<'a> TransientSolver<'a> {
     ///
     /// Propagates errors from [`TransientSolver::bounded_until`].
     pub fn bounded_reachability(&self, goal: &[StateIndex], t: f64) -> Result<f64, CtmcError> {
-        let n = self.chain.num_states();
+        let n = self.generator.num_states();
         let mut goal_mask = vec![false; n];
         for &s in goal {
             if s >= n {
@@ -405,17 +333,203 @@ impl<'a> TransientSolver<'a> {
         self.bounded_until(&vec![true; n], &goal_mask, t)
     }
 
-    /// One Fox–Glynn window per requested time point; `None` marks `t == 0`
-    /// (no jumps, handled by the caller's indicator/initial shortcut).
-    fn poisson_windows(&self, q: f64, times: &[f64]) -> Result<Vec<Option<FoxGlynn>>, CtmcError> {
-        poisson_windows(q, times, self.options.epsilon)
+    /// The uniformisation rate `q = max_exit * factor`, the maximum taken
+    /// over the states that are not `absorbing`. `None` when nothing ever
+    /// moves (every exit rate zero) or no time passes: the callers answer
+    /// those from the start vector. Only a rate that is actually used
+    /// validates the factor.
+    fn uniformization_rate(
+        &self,
+        absorbing: Option<&[bool]>,
+        times: &[f64],
+    ) -> Result<Option<f64>, CtmcError> {
+        let max_exit = self
+            .generator
+            .exit_rates()
+            .iter()
+            .enumerate()
+            .filter(|(s, _)| absorbing.is_none_or(|mask| !mask[*s]))
+            .map(|(_, &e)| e)
+            .fold(0.0f64, f64::max);
+        if max_exit == 0.0 || times.iter().all(|&t| t == 0.0) {
+            return Ok(None);
+        }
+        let factor = self.options.uniformization_factor;
+        if !factor.is_finite() || factor < 1.0 {
+            return Err(CtmcError::InvalidArgument {
+                reason: format!("uniformisation factor must be finite and >= 1, got {factor}"),
+            });
+        }
+        Ok(Some(max_exit * factor))
     }
 
-    fn validate_time(&self, t: f64) -> Result<(), CtmcError> {
-        validate_time(t)
+    /// The step `x ↦ x·P` of distribution propagation.
+    fn forward_step(&self, q: f64) -> Result<Step<'_>, CtmcError> {
+        Ok(match &self.generator {
+            Generator::Chain(chain) => Step::Forward(chain.uniformized_matrix(q)?),
+            Generator::Operator { rates, exit_rates } => Step::OperatorForward {
+                rates: *rates,
+                exit_rates,
+                q,
+                scratch: vec![0.0; exit_rates.len()],
+            },
+        })
+    }
+
+    /// The step `x ↦ P·x` of value back-propagation, with the `absorbing`
+    /// states' transitions removed.
+    fn backward_step<'s>(&'s self, q: f64, absorbing: &'s [bool]) -> Result<Step<'s>, CtmcError> {
+        Ok(match &self.generator {
+            Generator::Chain(chain) => {
+                Step::Backward(chain.make_absorbing(absorbing)?.uniformized_matrix(q)?)
+            }
+            Generator::Operator { rates, exit_rates } => Step::OperatorBackward {
+                rates: *rates,
+                exit_rates,
+                absorbing,
+                q,
+                scratch: vec![0.0; exit_rates.len()],
+            },
+        })
+    }
+
+    /// The uniformisation loop every measure runs through: `start` is
+    /// stepped `k = 0, 1, ...` up to the largest Fox–Glynn right bound, and
+    /// each time point accumulates its own weight of every iterate.
+    fn uniformise(
+        &self,
+        q: f64,
+        mut step: Step<'_>,
+        start: Vec<f64>,
+        times: &[f64],
+        accumulate: Accumulate,
+    ) -> Result<Vec<Vec<f64>>, CtmcError> {
+        let windows = poisson_windows(q, times, self.options.epsilon)?;
+        let global_right = windows
+            .iter()
+            .flatten()
+            .map(|fg| fg.right)
+            .max()
+            .unwrap_or(0);
+        let n = start.len();
+        let mut span = Recorder::current().span("transient");
+        span.count("states", n as u64);
+        span.count("steps", global_right as u64 + 1);
+        span.count("points", times.len() as u64);
+
+        let mut vk = start;
+        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
+        let mut next = vec![0.0; n];
+        let mut cdfs = vec![0.0; times.len()];
+        for k in 0..=global_right {
+            for ((window, result), cdf) in
+                windows.iter().zip(results.iter_mut()).zip(cdfs.iter_mut())
+            {
+                let Some(fg) = window else { continue };
+                let w = match accumulate {
+                    Accumulate::Poisson => fg.weight(k),
+                    Accumulate::Sojourn => {
+                        // Beyond a point's own fg.right the factor is
+                        // negligible. Jumps below fg.left have zero weight,
+                        // so their factor is exactly 1/q.
+                        if k > fg.right {
+                            continue;
+                        }
+                        *cdf += fg.weight(k);
+                        (1.0 - *cdf).max(0.0) / q
+                    }
+                };
+                if w > 0.0 {
+                    for s in 0..n {
+                        result[s] += w * vk[s];
+                    }
+                }
+            }
+            if k < global_right {
+                step.apply(&vk, &mut next, &self.options.exec)?;
+                std::mem::swap(&mut vk, &mut next);
+            }
+        }
+        Ok(results)
     }
 }
 
+/// How a time point weighs the `k`-th iterate of the uniformisation loop.
+#[derive(Debug, Clone, Copy)]
+enum Accumulate {
+    /// The Poisson probability of `k` jumps: distributions and bounded until.
+    Poisson,
+    /// `(1 - F(k)) / q` with `F` the Poisson CDF including `k`: expected
+    /// sojourn times.
+    Sojourn,
+}
+
+/// One step of the uniformised DTMC `P = I + Q/q` — the only part of the
+/// uniformisation loop that depends on the input.
+enum Step<'a> {
+    /// `y = x·P` with a chain's precomputed CSR `P`.
+    Forward(SparseMatrix),
+    /// `y = P·x` with the CSR `P` of the chain whose absorbing states have
+    /// lost their transitions.
+    Backward(SparseMatrix),
+    /// `y = x + (x·R − x∘E)/q`, matrix-free.
+    OperatorForward {
+        rates: &'a dyn LinearOperator,
+        exit_rates: &'a [f64],
+        q: f64,
+        scratch: Vec<f64>,
+    },
+    /// `y = x + (R·x − E∘x)/q` with the absorbing states frozen,
+    /// matrix-free.
+    OperatorBackward {
+        rates: &'a dyn LinearOperator,
+        exit_rates: &'a [f64],
+        absorbing: &'a [bool],
+        q: f64,
+        scratch: Vec<f64>,
+    },
+}
+
+impl Step<'_> {
+    fn apply(&mut self, x: &[f64], y: &mut [f64], exec: &ExecOptions) -> Result<(), CtmcError> {
+        match self {
+            Step::Forward(p) => p.left_multiply_exec(x, y, exec),
+            Step::Backward(p) => p.right_multiply_exec(x, y, exec),
+            Step::OperatorForward {
+                rates,
+                exit_rates,
+                q,
+                scratch,
+            } => {
+                rates.left_multiply_exec(x, scratch, exec)?;
+                for s in 0..x.len() {
+                    y[s] = x[s] + (scratch[s] - x[s] * exit_rates[s]) / *q;
+                }
+                Ok(())
+            }
+            Step::OperatorBackward {
+                rates,
+                exit_rates,
+                absorbing,
+                q,
+                scratch,
+            } => {
+                rates.right_multiply_exec(x, scratch, exec)?;
+                for s in 0..x.len() {
+                    y[s] = if absorbing[s] {
+                        x[s]
+                    } else {
+                        x[s] + (scratch[s] - exit_rates[s] * x[s]) / *q
+                    };
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One Fox–Glynn window per requested time point; `None` marks `t == 0`
+/// (no jumps, handled by the caller's indicator/initial shortcut).
 fn poisson_windows(
     q: f64,
     times: &[f64],
@@ -433,405 +547,13 @@ fn poisson_windows(
         .collect()
 }
 
-fn validate_time(t: f64) -> Result<(), CtmcError> {
-    if t < 0.0 || !t.is_finite() {
-        return Err(CtmcError::InvalidArgument {
+fn validate_times(times: &[f64]) -> Result<(), CtmcError> {
+    match times.iter().find(|t| **t < 0.0 || !t.is_finite()) {
+        Some(t) => Err(CtmcError::InvalidArgument {
             reason: format!("time bound must be non-negative and finite, got {t}"),
-        });
+        }),
+        None => Ok(()),
     }
-    Ok(())
-}
-
-/// Matrix-free transient analysis: the uniformisation loop over any
-/// [`LinearOperator`] instead of a materialised [`SparseMatrix`].
-///
-/// The solver is handed the rate operator `R` (off-diagonal rates; e.g. the
-/// Kronecker sum of per-factor quotients from `arcade_lumping::product`) and
-/// the per-state exit rates `E`, and applies the uniformised step
-/// `x ↦ x + (x·R − x∘E)/q` (forward) or `x ↦ x + (R·x − E∘x)/q` (backward)
-/// directly — the joint matrix is never stored, so coupling-free facility
-/// transients run in `O(states)` memory. Absorbing-state transformations
-/// (the time-bounded-until construction) are applied as masks on the fly.
-///
-/// The floating-point accumulation differs from the materialised
-/// `P = I + Q/q` path (`I` and the diagonal are applied outside the operator
-/// here), so results agree with [`TransientSolver`] to numerical tolerance
-/// rather than bit-for-bit; for a fixed thread count the computation is
-/// deterministic, and across thread counts it is bit-identical whenever the
-/// operator's kernels are (the [`crate::ops`] contract).
-///
-/// [`LinearOperator`]: crate::ops::LinearOperator
-/// [`SparseMatrix`]: crate::sparse::SparseMatrix
-#[derive(Debug, Clone)]
-pub struct OperatorTransientSolver<'a, O: crate::ops::LinearOperator> {
-    rates: &'a O,
-    exit_rates: Vec<f64>,
-    options: TransientOptions,
-}
-
-impl<'a, O: crate::ops::LinearOperator> OperatorTransientSolver<'a, O> {
-    /// Creates a solver for the rate operator `rates` with the given exit
-    /// rates and default options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::DimensionMismatch`] if the operator is not
-    /// square or `exit_rates` has the wrong length, and
-    /// [`CtmcError::InvalidArgument`] for negative or non-finite exits.
-    pub fn new(rates: &'a O, exit_rates: Vec<f64>) -> Result<Self, CtmcError> {
-        Self::with_options(rates, exit_rates, TransientOptions::default())
-    }
-
-    /// Creates a solver with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`OperatorTransientSolver::new`].
-    pub fn with_options(
-        rates: &'a O,
-        exit_rates: Vec<f64>,
-        options: TransientOptions,
-    ) -> Result<Self, CtmcError> {
-        if rates.num_rows() != rates.num_cols() {
-            return Err(CtmcError::DimensionMismatch {
-                expected: rates.num_rows(),
-                actual: rates.num_cols(),
-            });
-        }
-        if exit_rates.len() != rates.num_rows() {
-            return Err(CtmcError::DimensionMismatch {
-                expected: rates.num_rows(),
-                actual: exit_rates.len(),
-            });
-        }
-        if exit_rates.iter().any(|&e| !e.is_finite() || e < 0.0) {
-            return Err(CtmcError::InvalidArgument {
-                reason: "exit rates must be non-negative and finite".to_string(),
-            });
-        }
-        Ok(OperatorTransientSolver {
-            rates,
-            exit_rates,
-            options,
-        })
-    }
-
-    fn num_states(&self) -> usize {
-        self.exit_rates.len()
-    }
-
-    fn validate_initial(&self, initial: &[f64]) -> Result<(), CtmcError> {
-        if initial.len() != self.num_states() {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.num_states(),
-                actual: initial.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Uniformisation rate over the non-absorbing states (`None` for "all
-    /// states absorbing": nothing ever moves).
-    fn uniformization_rate(&self, absorbing: Option<&[bool]>) -> Result<Option<f64>, CtmcError> {
-        let factor = self.options.uniformization_factor;
-        if !factor.is_finite() || factor < 1.0 {
-            return Err(CtmcError::InvalidArgument {
-                reason: format!("uniformisation factor must be finite and >= 1, got {factor}"),
-            });
-        }
-        let max_exit = self
-            .exit_rates
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| absorbing.is_none_or(|mask| !mask[*s]))
-            .map(|(_, &e)| e)
-            .fold(0.0f64, f64::max);
-        Ok((max_exit > 0.0).then_some(max_exit * factor))
-    }
-
-    /// One forward uniformised step `y = x · P` with `P = I + Q/q`.
-    fn forward_step(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        scratch: &mut [f64],
-        q: f64,
-    ) -> Result<(), CtmcError> {
-        self.rates
-            .left_multiply_exec(x, scratch, &self.options.exec)?;
-        for s in 0..x.len() {
-            y[s] = x[s] + (scratch[s] - x[s] * self.exit_rates[s]) / q;
-        }
-        Ok(())
-    }
-
-    /// One backward uniformised step `y = P' · x`.
-    fn backward_step(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        scratch: &mut [f64],
-        q: f64,
-        absorbing: Option<&[bool]>,
-    ) -> Result<(), CtmcError> {
-        self.rates
-            .right_multiply_exec(x, scratch, &self.options.exec)?;
-        for s in 0..x.len() {
-            let frozen = absorbing.is_some_and(|mask| mask[s]);
-            y[s] = if frozen {
-                x[s]
-            } else {
-                x[s] + (scratch[s] - self.exit_rates[s] * x[s]) / q
-            };
-        }
-        Ok(())
-    }
-
-    /// State probability vectors at several time points over a single
-    /// matrix-free uniformisation pass, starting from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid times and dimension mismatches; propagates numerics
-    /// errors.
-    pub fn probabilities_at_many(
-        &self,
-        initial: &[f64],
-        times: &[f64],
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        self.validate_initial(initial)?;
-        for &t in times {
-            validate_time(t)?;
-        }
-        let Some(q) = self.uniformization_rate(None)? else {
-            return Ok(times.iter().map(|_| initial.to_vec()).collect());
-        };
-        if times.iter().all(|&t| t == 0.0) {
-            return Ok(times.iter().map(|_| initial.to_vec()).collect());
-        }
-        let windows = poisson_windows(q, times, self.options.epsilon)?;
-        let global_right = max_right(&windows);
-        let n = self.num_states();
-
-        let mut vk = initial.to_vec();
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut next = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
-        for k in 0..=global_right {
-            for (window, result) in windows.iter().zip(results.iter_mut()) {
-                let Some(fg) = window else { continue };
-                let w = fg.weight(k);
-                if w > 0.0 {
-                    for s in 0..n {
-                        result[s] += w * vk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                self.forward_step(&vk, &mut next, &mut scratch, q)?;
-                std::mem::swap(&mut vk, &mut next);
-            }
-        }
-        for (result, &t) in results.iter_mut().zip(times.iter()) {
-            if t == 0.0 {
-                result.copy_from_slice(initial);
-            }
-        }
-        Ok(results)
-    }
-
-    /// Expected sojourn-time vectors for several horizons (matrix-free; see
-    /// [`TransientSolver::expected_sojourn_times_many`] for the quantity).
-    ///
-    /// # Errors
-    ///
-    /// See [`OperatorTransientSolver::probabilities_at_many`].
-    pub fn expected_sojourn_times_many(
-        &self,
-        initial: &[f64],
-        times: &[f64],
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        self.validate_initial(initial)?;
-        for &t in times {
-            validate_time(t)?;
-        }
-        let n = self.num_states();
-        let Some(q) = self.uniformization_rate(None)? else {
-            return Ok(times
-                .iter()
-                .map(|&t| initial.iter().map(|p| p * t).collect())
-                .collect());
-        };
-        if times.iter().all(|&t| t == 0.0) {
-            return Ok(times.iter().map(|_| vec![0.0; n]).collect());
-        }
-        let windows = poisson_windows(q, times, self.options.epsilon)?;
-        let global_right = max_right(&windows);
-
-        let mut vk = initial.to_vec();
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut next = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
-        let mut cdfs = vec![0.0; times.len()];
-        for k in 0..=global_right {
-            for ((window, result), cdf) in
-                windows.iter().zip(results.iter_mut()).zip(cdfs.iter_mut())
-            {
-                let Some(fg) = window else { continue };
-                if k > fg.right {
-                    continue;
-                }
-                *cdf += fg.weight(k);
-                let factor = (1.0 - *cdf).max(0.0) / q;
-                if factor > 0.0 {
-                    for s in 0..n {
-                        result[s] += factor * vk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                self.forward_step(&vk, &mut next, &mut scratch, q)?;
-                std::mem::swap(&mut vk, &mut next);
-            }
-        }
-        Ok(results)
-    }
-
-    /// Per-state time-bounded reachability for several bounds, matrix-free
-    /// (the absorbing-state transformation is a mask applied inside the
-    /// uniformised step, never a modified matrix).
-    ///
-    /// # Errors
-    ///
-    /// See [`OperatorTransientSolver::probabilities_at_many`].
-    pub fn bounded_until_per_state_many(
-        &self,
-        safe: &[bool],
-        goal: &[bool],
-        times: &[f64],
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        for &t in times {
-            validate_time(t)?;
-        }
-        let n = self.num_states();
-        if safe.len() != n {
-            return Err(CtmcError::DimensionMismatch {
-                expected: n,
-                actual: safe.len(),
-            });
-        }
-        if goal.len() != n {
-            return Err(CtmcError::DimensionMismatch {
-                expected: n,
-                actual: goal.len(),
-            });
-        }
-        let absorbing: Vec<bool> = (0..n).map(|s| goal[s] || !safe[s]).collect();
-        let indicator: Vec<f64> = (0..n).map(|s| if goal[s] { 1.0 } else { 0.0 }).collect();
-        let Some(q) = self.uniformization_rate(Some(&absorbing))? else {
-            return Ok(times.iter().map(|_| indicator.clone()).collect());
-        };
-        if times.iter().all(|&t| t == 0.0) {
-            return Ok(times.iter().map(|_| indicator.clone()).collect());
-        }
-        let windows = poisson_windows(q, times, self.options.epsilon)?;
-        let global_right = max_right(&windows);
-
-        let mut xk = indicator.clone();
-        let mut results: Vec<Vec<f64>> = times.iter().map(|_| vec![0.0; n]).collect();
-        let mut next = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
-        for k in 0..=global_right {
-            for (window, result) in windows.iter().zip(results.iter_mut()) {
-                let Some(fg) = window else { continue };
-                let w = fg.weight(k);
-                if w > 0.0 {
-                    for s in 0..n {
-                        result[s] += w * xk[s];
-                    }
-                }
-            }
-            if k < global_right {
-                self.backward_step(&xk, &mut next, &mut scratch, q, Some(&absorbing))?;
-                std::mem::swap(&mut xk, &mut next);
-            }
-        }
-        for (result, &t) in results.iter_mut().zip(times.iter()) {
-            if t == 0.0 {
-                result.copy_from_slice(&indicator);
-                continue;
-            }
-            for s in 0..n {
-                if goal[s] {
-                    result[s] = 1.0;
-                }
-                result[s] = result[s].clamp(0.0, 1.0);
-            }
-        }
-        Ok(results)
-    }
-
-    /// Time-bounded reachability from `initial` for several bounds.
-    ///
-    /// # Errors
-    ///
-    /// See [`OperatorTransientSolver::bounded_until_per_state_many`].
-    pub fn bounded_until_many(
-        &self,
-        initial: &[f64],
-        safe: &[bool],
-        goal: &[bool],
-        times: &[f64],
-    ) -> Result<Vec<f64>, CtmcError> {
-        self.validate_initial(initial)?;
-        let per_state = self.bounded_until_per_state_many(safe, goal, times)?;
-        Ok(per_state
-            .iter()
-            .map(|probs| initial.iter().zip(probs.iter()).map(|(p0, p)| p0 * p).sum())
-            .collect())
-    }
-}
-
-/// The time-independent half of uniformisation: the rate `q` and the DTMC
-/// matrix `P = I + Q/q`. Splitting this from the Poisson window lets the
-/// batched multi-time-point solvers share one matrix across all bounds.
-///
-/// Handles the degenerate all-absorbing chain (`max_exit_rate() == 0`)
-/// explicitly: the naive `q = max_exit * factor` would be zero there, and
-/// dividing by it would fill the uniformised matrix with NaNs. Since nothing
-/// ever moves, `P = I` reproduces the exact semantics — the distribution
-/// stays at the initial distribution for all `t` (the callers special-case
-/// the matching point-mass Poisson window).
-fn uniformize_matrix(
-    chain: &Ctmc,
-    options: &TransientOptions,
-) -> Result<(f64, crate::sparse::SparseMatrix), CtmcError> {
-    let factor = options.uniformization_factor;
-    if !factor.is_finite() || factor < 1.0 {
-        return Err(CtmcError::InvalidArgument {
-            reason: format!("uniformisation factor must be finite and >= 1, got {factor}"),
-        });
-    }
-    let max_exit = chain.max_exit_rate();
-    if max_exit == 0.0 {
-        // All states absorbing: any positive rate uniformises to P = I, and
-        // the Poisson distribution over zero jumps is the point mass at 0.
-        let p = chain.uniformized_matrix(1.0)?;
-        return Ok((1.0, p));
-    }
-    let q = max_exit * factor;
-    let p = chain.uniformized_matrix(q)?;
-    Ok((q, p))
-}
-
-/// Largest retained jump count across the (non-degenerate) windows.
-fn max_right(windows: &[Option<FoxGlynn>]) -> usize {
-    windows
-        .iter()
-        .flatten()
-        .map(|fg| fg.right)
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -1077,34 +799,42 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The matrix-free input of a chain: its rate matrix as a bare operator.
+    fn operator_of(chain: &Ctmc) -> TransientSolver<'_> {
+        TransientSolver::from_operator(
+            chain.rate_matrix(),
+            chain.exit_rates().to_vec(),
+            chain.initial_distribution().to_vec(),
+            TransientOptions::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn operator_solver_matches_the_materialized_path() {
         // Driving the uniformisation loop through the rate matrix as a bare
-        // LinearOperator (plus exit rates) must reproduce the classic
-        // matrix-based solver to numerical tolerance on every measure.
+        // LinearOperator (plus exit rates) must reproduce the CSR step to
+        // numerical tolerance on every measure.
         let chain = four_state();
         let reference = TransientSolver::new(&chain);
-        let solver =
-            OperatorTransientSolver::new(chain.rate_matrix(), chain.exit_rates().to_vec()).unwrap();
+        let solver = operator_of(&chain);
         let times = [0.0, 0.3, 1.0, 4.0, 20.0];
-        let initial = chain.initial_distribution().to_vec();
+        let close = |got: &[f64], want: &[f64]| {
+            for (a, b) in got.iter().zip(want.iter()) {
+                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            }
+        };
 
-        let probs = solver.probabilities_at_many(&initial, &times).unwrap();
+        let probs = solver.probabilities_at_many(&times).unwrap();
         let want = reference.probabilities_at_many(&times).unwrap();
         for (got, expected) in probs.iter().zip(want.iter()) {
-            for (a, b) in got.iter().zip(expected.iter()) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            close(got, expected);
         }
 
-        let sojourn = solver
-            .expected_sojourn_times_many(&initial, &times)
-            .unwrap();
+        let sojourn = solver.expected_sojourn_times_many(&times).unwrap();
         let want = reference.expected_sojourn_times_many(&times).unwrap();
         for (got, expected) in sojourn.iter().zip(want.iter()) {
-            for (a, b) in got.iter().zip(expected.iter()) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            close(got, expected);
         }
 
         let safe = [true, true, false, true];
@@ -1116,31 +846,39 @@ mod tests {
             .bounded_until_per_state_many(&safe, &goal, &times)
             .unwrap();
         for (got, expected) in per_state.iter().zip(want.iter()) {
-            for (a, b) in got.iter().zip(expected.iter()) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            close(got, expected);
         }
-        let scalars = solver
-            .bounded_until_many(&initial, &safe, &goal, &times)
-            .unwrap();
+        let scalars = solver.bounded_until_many(&safe, &goal, &times).unwrap();
         let want = reference.bounded_until_many(&safe, &goal, &times).unwrap();
-        for (a, b) in scalars.iter().zip(want.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
+        close(&scalars, &want);
     }
 
     #[test]
     fn operator_solver_validates_inputs_and_degenerate_cases() {
         let chain = four_state();
         let rates = chain.rate_matrix();
-        assert!(OperatorTransientSolver::new(rates, vec![0.0; 3]).is_err());
-        assert!(OperatorTransientSolver::new(rates, vec![-1.0, 0.0, 0.0, 0.0]).is_err());
+        let initial = chain.initial_distribution().to_vec();
+        let options = TransientOptions::default();
+        assert!(
+            TransientSolver::from_operator(rates, vec![0.0; 3], initial.clone(), options).is_err()
+        );
+        assert!(TransientSolver::from_operator(
+            rates,
+            vec![-1.0, 0.0, 0.0, 0.0],
+            initial.clone(),
+            options
+        )
+        .is_err());
+        assert!(TransientSolver::from_operator(
+            rates,
+            chain.exit_rates().to_vec(),
+            vec![1.0],
+            options
+        )
+        .is_err());
 
-        let solver = OperatorTransientSolver::new(rates, chain.exit_rates().to_vec()).unwrap();
-        assert!(solver.probabilities_at_many(&[1.0], &[1.0]).is_err());
-        assert!(solver
-            .probabilities_at_many(chain.initial_distribution(), &[-1.0])
-            .is_err());
+        let solver = operator_of(&chain);
+        assert!(solver.probabilities_at_many(&[-1.0]).is_err());
         assert!(solver
             .bounded_until_per_state_many(&[true; 3], &[true; 4], &[1.0])
             .is_err());
@@ -1153,14 +891,12 @@ mod tests {
 
         // A transition-free operator: distributions never move.
         let empty = crate::sparse::SparseMatrixBuilder::new(2, 2).build();
-        let frozen = OperatorTransientSolver::new(&empty, vec![0.0, 0.0]).unwrap();
-        let probs = frozen
-            .probabilities_at_many(&[0.25, 0.75], &[0.0, 7.0])
-            .unwrap();
+        let frozen =
+            TransientSolver::from_operator(&empty, vec![0.0, 0.0], vec![0.25, 0.75], options)
+                .unwrap();
+        let probs = frozen.probabilities_at_many(&[0.0, 7.0]).unwrap();
         assert_eq!(probs[1], vec![0.25, 0.75]);
-        let sojourn = frozen
-            .expected_sojourn_times_many(&[0.25, 0.75], &[4.0])
-            .unwrap();
+        let sojourn = frozen.expected_sojourn_times_many(&[4.0]).unwrap();
         assert_eq!(sojourn[0], vec![1.0, 3.0]);
     }
 

@@ -1,21 +1,16 @@
-//! Property tests of the matrix-free stationary solver: for random
-//! irreducible chains, every [`OperatorSteadyStateSolver`] method must agree
-//! with the materialised [`SteadyStateSolver`] to 1e-10, and the sharded
-//! solves must be bit-identical for every thread count.
+//! Property tests of the matrix-free input of the stationary solver: for
+//! random irreducible chains, [`SteadyStateSolver::from_operator`] must agree
+//! with the chain input to 1e-10, and the sharded solves must be
+//! bit-identical for every thread count.
 
-use ctmc::{
-    Ctmc, CtmcBuilder, ExecOptions, OperatorSteadyStateMethod, OperatorSteadyStateSolver,
-    SteadyStateSolver,
-};
+use ctmc::{Ctmc, CtmcBuilder, ExecOptions, SteadyStateSolver};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-const METHODS: [OperatorSteadyStateMethod; 3] = [
-    OperatorSteadyStateMethod::Krylov,
-    OperatorSteadyStateMethod::Jacobi,
-    OperatorSteadyStateMethod::Power,
-];
+fn operator_of(chain: &Ctmc) -> SteadyStateSolver<'_> {
+    SteadyStateSolver::from_operator(chain.rate_matrix(), chain.exit_rates().to_vec()).unwrap()
+}
 
 /// An irreducible ring chain with shortcut chords and deterministic
 /// pseudo-random rates derived from `seed` — the same chain family the
@@ -46,7 +41,7 @@ fn ring_chain(n: usize, seed: u64) -> Ctmc {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Operator ≡ materialised on random irreducible chains: both solvers
+    /// Operator ≡ materialised on random irreducible chains: both inputs
     /// driven to a tolerance well below the comparison threshold.
     #[test]
     fn operator_methods_agree_with_the_materialised_solver(
@@ -58,66 +53,36 @@ proptest! {
             .tolerance(1e-13)
             .solve()
             .unwrap();
-        for method in METHODS {
-            let pi = OperatorSteadyStateSolver::new(
-                chain.rate_matrix(),
-                chain.exit_rates().to_vec(),
-            )
-            .unwrap()
-            .method(method)
+        let (pi, _, tier) = operator_of(&chain)
             .tolerance(1e-13)
-            .solve()
+            .solve_reported()
             .unwrap();
-            prop_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12, "{method:?}");
-            for (s, (a, b)) in pi.iter().zip(reference.iter()).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-10,
-                    "{method:?}, state {s}: {a} vs {b}"
-                );
-            }
+        prop_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12, "{tier}");
+        for (s, (a, b)) in pi.iter().zip(reference.iter()).enumerate() {
+            prop_assert!((a - b).abs() <= 1e-10, "{tier}, state {s}: {a} vs {b}");
         }
     }
 
-    /// A warm start from the answer keeps the fixed point and the sharded
-    /// solves are bit-identical (same vector, same apply count) for every
-    /// thread count.
+    /// The sharded solves are bit-identical (same vector, same apply count,
+    /// same tier) for every thread count.
     #[test]
     fn sharded_operator_solves_are_bit_identical(
         n in 8usize..=40,
         seed in 1u64..10_000,
     ) {
         let chain = ring_chain(n, seed);
-        for method in METHODS {
-            let reference = OperatorSteadyStateSolver::new(
-                chain.rate_matrix(),
-                chain.exit_rates().to_vec(),
-            )
-            .unwrap()
-            .method(method)
+        let reference = operator_of(&chain)
             .exec(ExecOptions::serial())
-            .solve_counted()
+            .solve_reported()
             .unwrap();
-            for &threads in &THREAD_COUNTS {
-                let sharded = OperatorSteadyStateSolver::new(
-                    chain.rate_matrix(),
-                    chain.exit_rates().to_vec(),
-                )
-                .unwrap()
-                .method(method)
+        for &threads in &THREAD_COUNTS {
+            let sharded = operator_of(&chain)
                 .exec(ExecOptions::with_threads(threads))
-                .solve_counted()
+                .solve_reported()
                 .unwrap();
-                prop_assert_eq!(&sharded.0, &reference.0, "{:?}, {} threads", method, threads);
-                prop_assert_eq!(sharded.1, reference.1, "{:?}, {} threads", method, threads);
-            }
-            // The balance-residual certificate accepts the solution and
-            // rejects a visibly wrong vector.
-            let solver = OperatorSteadyStateSolver::new(
-                chain.rate_matrix(),
-                chain.exit_rates().to_vec(),
-            )
-            .unwrap();
-            prop_assert!(solver.balance_residual(&reference.0).unwrap() < 1e-7);
+            prop_assert_eq!(&sharded, &reference, "{} threads", threads);
         }
+        // The balance-residual certificate accepts the solution.
+        prop_assert!(operator_of(&chain).balance_residual(&reference.0).unwrap() < 1e-7);
     }
 }

@@ -5,10 +5,7 @@
 //! worker threads. Spans observe, they never steer.
 
 use arcade_telemetry::Recorder;
-use ctmc::{
-    Ctmc, CtmcBuilder, ExecOptions, OperatorSteadyStateMethod, OperatorSteadyStateSolver,
-    SteadyStateSolver,
-};
+use ctmc::{Ctmc, CtmcBuilder, ExecOptions, SteadyStateSolver};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -90,7 +87,7 @@ proptest! {
         }
     }
 
-    /// The matrix-free Krylov solver — the numerically most delicate tier —
+    /// The matrix-free input — Krylov, the numerically most delicate tier —
     /// under recording, same contract.
     #[test]
     fn operator_solver_is_bit_identical_under_recording(
@@ -101,22 +98,22 @@ proptest! {
         for &threads in &THREAD_COUNTS {
             let exec = ExecOptions::with_threads(threads);
             let solver = || {
-                OperatorSteadyStateSolver::new(
+                SteadyStateSolver::from_operator(
                     chain.rate_matrix(),
                     chain.exit_rates().to_vec(),
                 )
                 .unwrap()
-                .method(OperatorSteadyStateMethod::Krylov)
                 .exec(exec)
             };
-            let baseline = solver().solve_counted().unwrap();
+            let baseline = solver().solve_reported().unwrap();
             let recorder = Recorder::with_probes();
             let traced = {
                 let _scope = recorder.enter();
-                solver().solve_counted().unwrap()
+                solver().solve_reported().unwrap()
             };
             prop_assert_eq!(bits(&traced.0), bits(&baseline.0), "threads {}", threads);
             prop_assert_eq!(traced.1, baseline.1);
+            prop_assert_eq!(traced.2, baseline.2);
             prop_assert_eq!(
                 recorder.counter_total("solve", "iterations"),
                 baseline.1 as u64

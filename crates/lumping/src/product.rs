@@ -31,7 +31,7 @@ use arcade_symmetry::chain::group_identical_chains;
 use arcade_symmetry::orbit::FactorClasses;
 use ctmc::exec::{self, ExecOptions};
 use ctmc::ops::LinearOperator;
-use ctmc::{Ctmc, CtmcBuilder, CtmcError, RewardStructure, SparseMatrix};
+use ctmc::{Ctmc, CtmcBuilder, CtmcError, RewardStructure, SparseMatrix, SteadyStateSolver};
 
 use crate::error::LumpError;
 use crate::quotient::LumpedCtmc;
@@ -395,31 +395,21 @@ impl QuotientProduct {
 
     /// Maximum absolute balance-equation residual of a candidate stationary
     /// vector against the *joint* chain, computed matrix-free through the
-    /// Kronecker-sum operator: `max_s |(π R)ₛ − πₛ E(s)|`. A tiny residual
-    /// certifies that `π` is stationary for the genuine joint chain without
-    /// materialising it.
+    /// Kronecker-sum operator: `max_s |(π R)ₛ − πₛ E(s)|` (the steady-state
+    /// solver's certificate, [`SteadyStateSolver::balance_residual`]). A tiny
+    /// residual certifies that `π` is stationary for the genuine joint chain
+    /// without materialising it.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches from the operator kernels.
     pub fn balance_residual(&self, pi: &[f64], exec: &ExecOptions) -> Result<f64, LumpError> {
-        let mut inflow = vec![0.0; self.num_states];
-        self.operator().left_multiply_exec(pi, &mut inflow, exec)?;
-        let exits = self.exit_rates();
-        let shards = exec::shard_ranges(
-            self.num_states,
-            exec.workers_for(self.num_transitions())
-                .min(self.num_states),
-        );
-        Ok(exec::map_ordered(&shards, *exec, |range| {
-            let mut max_res: f64 = 0.0;
-            for s in range.clone() {
-                max_res = max_res.max((inflow[s] - pi[s] * exits[s]).abs());
-            }
-            max_res
-        })
-        .into_iter()
-        .fold(0.0, f64::max))
+        let operator = self.operator();
+        Ok(
+            SteadyStateSolver::from_operator(&operator, self.exit_rates())?
+                .exec(*exec)
+                .balance_residual(pi)?,
+        )
     }
 
     /// Materialises the joint chain.
@@ -821,8 +811,7 @@ impl KroneckerSum<'_> {
             })
             .fold(0usize, usize::saturating_add);
         let workers = exec.workers_for(work).min(self.num_states.max(1));
-        let chunk = exec::chunk_len(self.num_states, workers);
-        let compute = |start: usize, shard: &mut [f64]| {
+        exec::for_each_shard(y, workers, |start, shard| {
             for (offset, slot) in shard.iter_mut().enumerate() {
                 let s = start + offset;
                 let mut acc = 0.0;
@@ -837,17 +826,7 @@ impl KroneckerSum<'_> {
                 }
                 *slot = acc;
             }
-        };
-        if workers <= 1 {
-            compute(0, y);
-        } else {
-            std::thread::scope(|scope| {
-                for (i, shard) in y.chunks_mut(chunk).enumerate() {
-                    let compute = &compute;
-                    scope.spawn(move || compute(i * chunk, shard));
-                }
-            });
-        }
+        });
         Ok(())
     }
 }
@@ -892,8 +871,6 @@ impl LinearOperator for KroneckerSum<'_> {
 
 #[cfg(test)]
 mod tests {
-    use ctmc::SteadyStateSolver;
-
     use super::*;
 
     /// A repairable two-state component: up (0) ⇄ down (1).

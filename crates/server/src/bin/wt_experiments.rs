@@ -705,12 +705,10 @@ fn run_kline(
         println!("== Facility k-line reduction ladder: flat → product → orbit ==");
         println!("{}", experiments::format_kline_reduction(&rows));
         println!(
-            "Tiers: joint-solve runs the matrix-free Krylov solver on the Kronecker-sum\n\
-             operator by default (ARCADE_JOINT_SOLVER=materialise restores the legacy\n\
-             materialised Gauss-Seidel path on the orbit fold); orbit-enumeration walks\n\
-             the sorted multisets lazily under the product measure (the flat k-product\n\
-             is never materialised); product-form reports counts and\n\
-             1 - prod P(line down) only.\n"
+            "Tiers: joint-solve runs the matrix-free Krylov solver (damped-Jacobi\n\
+             fallback) on the Kronecker-sum operator; orbit-enumeration walks the sorted\n\
+             multisets lazily under the product measure (the flat k-product is never\n\
+             materialised); product-form reports counts and 1 - prod P(line down) only.\n"
         );
     }
     Ok(())

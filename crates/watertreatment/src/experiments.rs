@@ -9,7 +9,7 @@
 
 use arcade_core::{
     Analysis, ArcadeError, CompiledModel, ComposerOptions, ExecOptions, FacilityAnalysis,
-    JointAvailability, LumpingMode, Series,
+    LumpingMode, Series,
 };
 use ctmc::exec;
 use serde::{Deserialize, Serialize};
@@ -80,13 +80,11 @@ pub struct TableFacilityRow {
     pub solved_blocks: usize,
     /// Matrix-free balance residual certifying the joint stationary vector.
     pub residual: f64,
-    /// The solver engine that produced the joint column: `krylov-operator` /
-    /// `jacobi-operator` (matrix-free, the default) or `gs-materialised`
-    /// (`ARCADE_JOINT_SOLVER=materialise`).
+    /// The solver tier that produced the joint column: `krylov-operator`, or
+    /// `jacobi-operator` when the Krylov iteration stalled.
     #[serde(default)]
     pub solver_tier: String,
-    /// Iterations of the joint solve (operator applies for the matrix-free
-    /// engines, sweeps for Gauss–Seidel).
+    /// Operator applies of the joint solve.
     #[serde(default)]
     pub iterations: usize,
 }
@@ -154,14 +152,12 @@ pub struct KLineReductionRow {
     /// Which tier evaluated the row: `joint-solve`, `orbit-enumeration` or
     /// `product-form`.
     pub tier: String,
-    /// The solver engine the joint-solve tier actually ran:
-    /// `krylov-operator` / `jacobi-operator` (matrix-free, the default) or
-    /// `gs-materialised` (`ARCADE_JOINT_SOLVER=materialise`); `None` outside
+    /// The solver tier the joint-solve tier actually ran: `krylov-operator`,
+    /// or `jacobi-operator` when the Krylov iteration stalled; `None` outside
     /// the joint-solve tier.
     #[serde(default)]
     pub solver: Option<String>,
-    /// Iterations the joint solve spent — operator applies for the
-    /// matrix-free engines, sweeps for Gauss–Seidel; `None` outside the
+    /// Operator applies the joint solve spent; `None` outside the
     /// joint-solve tier.
     #[serde(default)]
     pub iterations: Option<usize>,
@@ -179,48 +175,6 @@ pub const ORBIT_ENUMERATION_CAP: usize = 8_000_000;
 /// states is solved exactly on the Kronecker-sum operator without
 /// materialising a single joint transition.
 pub const MAX_OPERATOR_PRODUCT: usize = 8_000_000;
-
-/// Which engine the joint-solve tier runs (`ARCADE_JOINT_SOLVER`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JointSolverMode {
-    /// Matrix-free: hand the Kronecker-sum operator to the Krylov solver
-    /// (damped-Jacobi fallback), never materialising the joint chain. The
-    /// default; the tier cutoff is [`MAX_OPERATOR_PRODUCT`].
-    #[default]
-    Operator,
-    /// Legacy path: materialise the joint chain (the orbit fold under factor
-    /// symmetry) and Gauss–Seidel it; cutoff
-    /// [`ModelSpec::MAX_MATERIALISED_PRODUCT`].
-    Materialise,
-}
-
-impl JointSolverMode {
-    /// Reads `ARCADE_JOINT_SOLVER`: `materialise` (or `materialize` / `gs`)
-    /// forces the legacy materialised path, anything else — including unset —
-    /// selects the matrix-free operator path.
-    pub fn from_env() -> Self {
-        match std::env::var("ARCADE_JOINT_SOLVER").as_deref() {
-            Ok("materialise") | Ok("materialize") | Ok("gs") => Self::Materialise,
-            _ => Self::Operator,
-        }
-    }
-
-    /// The largest joint product this mode's joint-solve tier accepts.
-    pub fn joint_cutoff(self) -> usize {
-        match self {
-            Self::Operator => MAX_OPERATOR_PRODUCT,
-            Self::Materialise => ModelSpec::MAX_MATERIALISED_PRODUCT,
-        }
-    }
-
-    /// Solves the joint availability of one analysis with this mode's engine.
-    fn solve_joint(self, analysis: &FacilityAnalysis) -> Result<JointAvailability, ArcadeError> {
-        match self {
-            Self::Operator => analysis.matrix_free_steady_state_availability(),
-            Self::Materialise => analysis.joint_steady_state_availability(),
-        }
-    }
-}
 
 /// A reproduced figure: a set of named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -851,29 +805,26 @@ pub fn table_facility_with(
     pairs: &[(StrategySpec, StrategySpec)],
     exec: ExecOptions,
 ) -> Result<Vec<TableFacilityRow>, ArcadeError> {
-    let mode = JointSolverMode::from_env();
     exec::map_ordered(pairs, exec, |pair| {
         let model = facility::facility_model(&pair.0, &pair.1)?;
         let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
-        facility_table_row(pair_label(pair), &analysis, mode)
+        facility_table_row(pair_label(pair), &analysis)
     })
     .into_iter()
     .collect()
 }
 
 /// The facility table row of one already-compiled analysis. The joint column
-/// comes from the engine `mode` selects: the matrix-free operator solve (the
-/// default — the `449 × 257` FRF-1 × FRF-1 product is never materialised) or
-/// the legacy materialised Gauss–Seidel path.
+/// comes from the matrix-free operator solve — the `449 × 257` FRF-1 × FRF-1
+/// product is never materialised.
 fn facility_table_row(
     label: String,
     analysis: &FacilityAnalysis,
-    mode: JointSolverMode,
 ) -> Result<TableFacilityRow, ArcadeError> {
     let line1 = analysis.line_availability(0)?;
     let line2 = analysis.line_availability(1)?;
     let combined = analysis.steady_state_availability()?;
-    let joint = mode.solve_joint(analysis)?;
+    let joint = analysis.matrix_free_steady_state_availability()?;
     Ok(TableFacilityRow {
         pair: label,
         line1,
@@ -922,12 +873,11 @@ pub fn facility_suite_with(
     exec: ExecOptions,
 ) -> Result<FacilitySuite, ArcadeError> {
     type PairOutput = (TableFacilityRow, (Series, Series), (Series, Series));
-    let mode = JointSolverMode::from_env();
     let outputs: Vec<PairOutput> = exec::map_ordered(pairs, exec, |pair| {
         let model = facility::facility_model(&pair.0, &pair.1)?;
         let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
         let label = pair_label(pair);
-        let row = facility_table_row(label.clone(), &analysis, mode)?;
+        let row = facility_table_row(label.clone(), &analysis)?;
         let recovery = (
             Series {
                 label: label.clone(),
@@ -1074,13 +1024,10 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
 /// materialisation), then evaluates the availability on the cheapest exact
 /// tier that fits:
 ///
-/// 1. **joint-solve** — the per-line quotient product is at most the
-///    [`JointSolverMode`]'s cutoff: solve the genuine joint chain. The
-///    default engine is the matrix-free operator solver (cutoff
-///    [`MAX_OPERATOR_PRODUCT`], nothing materialised);
-///    `ARCADE_JOINT_SOLVER=materialise` restores the legacy materialised
-///    Gauss–Seidel path (cutoff [`ModelSpec::MAX_MATERIALISED_PRODUCT`]).
-///    Either engine is certified by the Kronecker-sum balance residual;
+/// 1. **joint-solve** — the per-line quotient product is at most
+///    [`MAX_OPERATOR_PRODUCT`]: solve the genuine joint chain matrix-free on
+///    the Kronecker-sum operator (nothing materialised), certified by the
+///    Kronecker-sum balance residual;
 /// 2. **orbit-enumeration** — the product is too large but the orbit bound is
 ///    at most [`ORBIT_ENUMERATION_CAP`]: walk the canonical multisets lazily
 ///    under the stationary product measure
@@ -1095,20 +1042,6 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
 pub fn kline_reduction_row(
     spec: &ModelSpec,
     exec: ExecOptions,
-) -> Result<KLineReductionRow, ArcadeError> {
-    kline_reduction_row_with(spec, exec, JointSolverMode::from_env())
-}
-
-/// [`kline_reduction_row`] with an explicit joint-solve engine instead of the
-/// `ARCADE_JOINT_SOLVER` environment selection.
-///
-/// # Errors
-///
-/// Rejects single-line specs; propagates composition and solver errors.
-pub fn kline_reduction_row_with(
-    spec: &ModelSpec,
-    exec: ExecOptions,
-    mode: JointSolverMode,
 ) -> Result<KLineReductionRow, ArcadeError> {
     let model = spec
         .facility_model()?
@@ -1133,8 +1066,8 @@ pub fn kline_reduction_row_with(
 
     let availability = analysis.steady_state_availability()?;
     let (tier, solved_blocks, joint_availability, certificate, solver, iterations) =
-        if stats.joint_blocks <= mode.joint_cutoff() {
-            let joint = mode.solve_joint(&analysis)?;
+        if stats.joint_blocks <= MAX_OPERATOR_PRODUCT {
+            let joint = analysis.matrix_free_steady_state_availability()?;
             (
                 "joint-solve",
                 Some(joint.solved_states),
@@ -1185,12 +1118,9 @@ pub fn kline_reduction_table(
     specs: &[ModelSpec],
     exec: ExecOptions,
 ) -> Result<Vec<KLineReductionRow>, ArcadeError> {
-    let mode = JointSolverMode::from_env();
-    exec::map_ordered(specs, exec, |spec| {
-        kline_reduction_row_with(spec, exec, mode)
-    })
-    .into_iter()
-    .collect()
+    exec::map_ordered(specs, exec, |spec| kline_reduction_row(spec, exec))
+        .into_iter()
+        .collect()
 }
 
 /// Renders k-line reduction rows as a plain-text table.
@@ -1658,14 +1588,13 @@ mod tests {
     #[test]
     fn kline_ladder_solves_the_twin_pair_on_both_engines() {
         // `facility/ded^2`: flat 512² = 262,144, product 96² = 9,216, orbit
-        // C(97, 2) = 4,656 — small enough for the joint-solve tier on either
-        // engine. The matrix-free default solves the full 9,216-state product
-        // on the Kronecker-sum operator; the materialised engine runs on the
-        // orbit fold. Both must agree with the product form.
+        // C(97, 2) = 4,656 — small enough for the joint-solve tier. The
+        // ladder solves the full 9,216-state product matrix-free on the
+        // Kronecker-sum operator; the materialised reference runs
+        // Gauss–Seidel on the orbit fold. Both must agree with the product
+        // form.
         let spec = ModelSpec::parse("facility/ded^2").unwrap();
-        let row =
-            kline_reduction_row_with(&spec, ExecOptions::default(), JointSolverMode::Operator)
-                .unwrap();
+        let row = kline_reduction_row(&spec, ExecOptions::default()).unwrap();
         assert_eq!(row.k, 2);
         assert_eq!(row.facility, "facility/ded^2");
         assert_eq!(row.flat_states, 512 * 512);
@@ -1679,17 +1608,18 @@ mod tests {
         assert!((joint - row.availability).abs() <= 1e-9);
         assert!(row.certificate.unwrap() < 1e-9);
 
-        let materialised =
-            kline_reduction_row_with(&spec, ExecOptions::default(), JointSolverMode::Materialise)
+        let model = spec.facility_model().unwrap().unwrap();
+        let analysis =
+            FacilityAnalysis::with_options(&model, composer_options(ExecOptions::default()))
                 .unwrap();
-        assert_eq!(materialised.tier, "joint-solve");
-        assert_eq!(materialised.solved_blocks, Some(96 * 97 / 2));
-        assert_eq!(materialised.solver.as_deref(), Some("gs-materialised"));
+        let materialised = analysis.joint_steady_state_availability().unwrap();
+        assert_eq!(materialised.solved_states, 96 * 97 / 2);
+        assert_eq!(materialised.solver_tier, "gs-materialised");
         assert!(
-            (materialised.joint_availability.unwrap() - joint).abs() <= 1e-10,
+            (materialised.availability - joint).abs() <= 1e-10,
             "operator and materialised engines must agree: {} vs {}",
             joint,
-            materialised.joint_availability.unwrap()
+            materialised.availability
         );
     }
 
