@@ -9,9 +9,10 @@
 //! is a ≥ 2× wall-clock improvement at 4 threads over 1 thread on this
 //! sweep, with bit-identical curve values.
 //!
-//! A second group scales the *flat* Line 2 composition + availability solve,
-//! which exercises the sharded frontier and the row-parallel kernels on a
-//! state space large enough (8129 states) to clear the work thresholds.
+//! A second group times the *flat* Line 2 composition + availability solve:
+//! the composition is serial at every thread count, and the solve exercises
+//! the row-parallel kernels on a state space large enough (8129 states) to
+//! clear the work thresholds.
 
 use arcade_core::{Analysis, CompiledModel, ComposerOptions, ExecOptions, LumpingMode};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -6,7 +6,7 @@
 //!   the `QuotientProduct` and materialise the joint FRF-1 × FRF-1 chain
 //!   (449 × 257 = 115,393 blocks, ≈ 1.2M transitions) through the sharded
 //!   row enumeration;
-//! * **availability** — the `table_facility` validation solve: per-line
+//! * **availability** — the `table_facility_with` validation solve: per-line
 //!   availabilities, the product form, and the genuine joint-chain
 //!   stationary solve (warm started, residual-certified).
 //!

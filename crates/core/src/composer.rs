@@ -21,13 +21,10 @@
 //! quotient sizes.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 use arcade_lumping::{lump, subchain, InitialPartition, LumpedCtmc};
 use arcade_telemetry::Recorder;
-use ctmc::exec::{self, ExecOptions};
-use ctmc::{Ctmc, CtmcBuilder, RewardStructure};
+use ctmc::{Ctmc, CtmcBuilder, ExecOptions, RewardStructure};
 use serde::{Deserialize, Serialize};
 
 use crate::disaster::Disaster;
@@ -66,16 +63,17 @@ pub enum LumpingMode {
 /// Options controlling the state-space composition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ComposerOptions {
-    /// Abort exploration when more than this many states have been generated.
+    /// Largest number of states a composition may hold: discovering one more
+    /// aborts exploration with [`ArcadeError::StateSpaceTooLarge`].
     pub max_states: usize,
     /// How repair queues are encoded in the state (see [`QueueEncoding`]).
     pub queue_encoding: QueueEncoding,
     /// Whether the composed chain is lumped for analysis (see [`LumpingMode`]).
     pub lumping: LumpingMode,
-    /// Worker pool for the sharded frontier exploration and for the solvers
-    /// downstream ([`crate::Analysis`] forwards it). Exploration order, state
-    /// numbering and every rate are identical for every thread count, so this
-    /// knob changes wall-clock time only, never results.
+    /// Worker pool for the solvers downstream ([`crate::Analysis`] and the
+    /// facility layer forward it). Composition itself is a serial walk and
+    /// ignores it; the solvers give the same results for every thread count,
+    /// so this knob changes wall-clock time only, never results.
     pub exec: ExecOptions,
 }
 
@@ -890,47 +888,65 @@ impl<'a> Composer<'a> {
             );
         }
 
-        let frontier = Frontier::explore(&self, compositional, initial)?;
-        let states = frontier.states;
-        let transitions = frontier.transitions;
-        let index_of = frontier.index_of;
+        // Breadth-first walk: states are expanded in index order and each new
+        // (canonical) successor is numbered the first time it is seen, so the
+        // numbering and the transition order depend on the model alone.
+        let max_states = self.options.max_states;
+        let mut states = vec![initial.clone()];
+        let mut index_of = HashMap::from([(initial, 0)]);
+        let mut transitions = Vec::new();
+        let mut current = 0;
+        while current < states.len() {
+            for (mut target, rate) in self.successors(&states[current]) {
+                if compositional {
+                    canonicalize_state(
+                        &mut target,
+                        &self.families,
+                        &self.subtree_families,
+                        &self.component_ru,
+                    );
+                }
+                let next = match index_of.get(&target) {
+                    Some(&index) => index,
+                    None if states.len() >= max_states => {
+                        return Err(ArcadeError::StateSpaceTooLarge { limit: max_states });
+                    }
+                    None => {
+                        index_of.insert(target.clone(), states.len());
+                        states.push(target);
+                        states.len() - 1
+                    }
+                };
+                transitions.push((current, next, rate));
+            }
+            current += 1;
+        }
 
-        // Per-state metadata: each state's service level, operational flag and
-        // cost rate depend on that state alone, so the sweep shards across the
-        // worker pool (in-order reassembly keeps it deterministic).
-        let state_meta = |state: &GlobalState| -> (f64, bool, f64) {
+        // Per-state metadata: service level, operational flag and cost rate.
+        let component_of: HashMap<&str, usize> = self
+            .component_names
+            .iter()
+            .enumerate()
+            .map(|(index, name)| (name.as_str(), index))
+            .collect();
+        let mut service_levels = Vec::with_capacity(states.len());
+        let mut operational = Vec::with_capacity(states.len());
+        let mut costs = Vec::with_capacity(states.len());
+        for state in &states {
             let provides = |name: &str| -> f64 {
-                match self.component_names.iter().position(|n| n == name) {
-                    Some(idx) if state.statuses[idx].provides_service() => 1.0,
+                match component_of.get(name) {
+                    Some(&c) if state.statuses[c].provides_service() => 1.0,
                     _ => 0.0,
                 }
             };
             let failed = |name: &str| -> bool {
-                match self.component_names.iter().position(|n| n == name) {
-                    Some(idx) => !state.statuses[idx].provides_service(),
-                    None => false,
-                }
+                component_of
+                    .get(name)
+                    .is_some_and(|&c| !state.statuses[c].provides_service())
             };
-            (
-                service_tree.service_level(provides),
-                !degraded_tree.is_failed(failed),
-                self.state_cost(state),
-            )
-        };
-        let shards = exec::shard_ranges(states.len(), self.options.exec.workers_for(states.len()));
-        let meta: Vec<(f64, bool, f64)> = exec::map_ordered(&shards, self.options.exec, |range| {
-            states[range.clone()].iter().map(state_meta).collect()
-        })
-        .into_iter()
-        .flat_map(|chunk: Vec<(f64, bool, f64)>| chunk)
-        .collect();
-        let mut service_levels = Vec::with_capacity(states.len());
-        let mut operational = Vec::with_capacity(states.len());
-        let mut costs = Vec::with_capacity(states.len());
-        for (level, op, cost) in meta {
-            service_levels.push(level);
-            operational.push(op);
-            costs.push(cost);
+            service_levels.push(service_tree.service_level(provides));
+            operational.push(!degraded_tree.is_failed(failed));
+            costs.push(self.state_cost(state));
         }
 
         let mut builder = CtmcBuilder::new(states.len());
@@ -969,223 +985,6 @@ impl<'a> Composer<'a> {
             lumped: None,
         })
     }
-}
-
-/// Result of the (optionally sharded) frontier exploration.
-struct Frontier {
-    states: Vec<GlobalState>,
-    transitions: Vec<(usize, usize, f64)>,
-    index_of: HashMap<GlobalState, usize>,
-}
-
-/// Number of stripes of the concurrent seen-set (a power of two, so the
-/// stripe of a state is the low bits of its canonical-state hash).
-const SEEN_STRIPES: usize = 64;
-
-/// Waves smaller than this are expanded inline: generating successors for a
-/// handful of states is cheaper than spawning workers. Inline and sharded
-/// expansion produce identical states, numbering and transitions.
-const MIN_PARALLEL_WAVE: usize = 32;
-
-/// Entry of the striped seen-set.
-enum Seen {
-    /// The state has been assigned its final index.
-    Known(usize),
-    /// The state was first discovered in the current wave; the payload is the
-    /// smallest discovery rank claiming it so far (see [`Frontier::explore`]).
-    Pending(u64),
-}
-
-/// A successor resolved during the probe phase of a wave.
-enum Probe {
-    /// Already explored (or discovered in an earlier wave): final index.
-    Known(usize),
-    /// First seen this wave; the merge phase assigns its index.
-    Fresh(GlobalState),
-}
-
-/// Probe output of one worker's wave shard: each frontier state (by final
-/// index) with its resolved successors and rates, in generation order.
-type ProbedShard = Vec<(usize, Vec<(Probe, f64)>)>;
-
-impl Frontier {
-    /// Explores the reachable state space in breadth-first waves.
-    ///
-    /// Each wave is split into per-thread work queues (contiguous shards of
-    /// the frontier). Workers generate and canonicalise successors and probe
-    /// a seen-set striped into [`SEEN_STRIPES`] `Mutex<HashMap>` shards keyed
-    /// by the canonical-state hash; a state not seen before is claimed with
-    /// its *discovery rank* — `(position in wave, successor position)` — and
-    /// concurrent claims keep the smallest rank. The merge phase then orders
-    /// the wave's fresh states by rank and assigns indices sequentially:
-    /// first-encounter order in a single-threaded breadth-first sweep. State
-    /// numbering, transition order and every rate are therefore identical
-    /// for every thread count and shard layout.
-    fn explore(
-        composer: &Composer,
-        compositional: bool,
-        initial: GlobalState,
-    ) -> Result<Self, ArcadeError> {
-        let threads = composer.options.exec.resolved_threads();
-        let stripes: Vec<Mutex<HashMap<GlobalState, Seen>>> = (0..SEEN_STRIPES)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect();
-        let mut states = vec![initial.clone()];
-        stripes[stripe_of(&initial)]
-            .lock()
-            .expect("no worker panicked")
-            .insert(initial, Seen::Known(0));
-        let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
-        let mut wave_start = 0;
-
-        while wave_start < states.len() {
-            let wave_end = states.len();
-            let wave_len = wave_end - wave_start;
-
-            // Probe phase: resolve every successor of the wave against the
-            // striped seen-set, claiming unseen states by discovery rank. The
-            // `pending` counter bounds memory: once the distinct fresh states
-            // would push the total past `max_states`, workers stop cloning
-            // and report the overflow instead of buffering a whole oversized
-            // wave before the merge notices.
-            let pending = std::sync::atomic::AtomicUsize::new(0);
-            let outputs: Vec<ProbedShard> = {
-                let wave = &states[wave_start..wave_end];
-                let stripes = &stripes;
-                let pending = &pending;
-                let probe_range = |range: &std::ops::Range<usize>| -> Result<_, ArcadeError> {
-                    let mut out = Vec::with_capacity(range.len());
-                    for offset in range.clone() {
-                        let successors = composer.successors(&wave[offset]);
-                        let mut resolved = Vec::with_capacity(successors.len());
-                        for (succ_idx, (mut target, rate)) in successors.into_iter().enumerate() {
-                            if compositional {
-                                canonicalize_state(
-                                    &mut target,
-                                    &composer.families,
-                                    &composer.subtree_families,
-                                    &composer.component_ru,
-                                );
-                            }
-                            // One successor per component, so the index fits
-                            // 16 bits with room to spare; a collision would
-                            // silently break deterministic numbering.
-                            debug_assert!(succ_idx < (1 << 16), "rank packing overflow");
-                            let rank = ((offset as u64) << 16) | succ_idx as u64;
-                            let mut map = stripes[stripe_of(&target)]
-                                .lock()
-                                .expect("no worker panicked");
-                            let probe = match map.get_mut(&target) {
-                                Some(Seen::Known(idx)) => Probe::Known(*idx),
-                                Some(Seen::Pending(best)) => {
-                                    *best = rank.min(*best);
-                                    Probe::Fresh(target)
-                                }
-                                None => {
-                                    let discovered = 1 + pending
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    if wave_end + discovered > composer.options.max_states {
-                                        return Err(ArcadeError::StateSpaceTooLarge {
-                                            limit: composer.options.max_states,
-                                        });
-                                    }
-                                    map.insert(target.clone(), Seen::Pending(rank));
-                                    Probe::Fresh(target)
-                                }
-                            };
-                            drop(map);
-                            resolved.push((probe, rate));
-                        }
-                        out.push((wave_start + offset, resolved));
-                    }
-                    Ok(out)
-                };
-                let ranges = if threads <= 1 || wave_len < MIN_PARALLEL_WAVE {
-                    exec::shard_ranges(wave_len, 1)
-                } else {
-                    exec::shard_ranges(wave_len, threads)
-                };
-                exec::map_ordered(&ranges, composer.options.exec, probe_range)
-                    .into_iter()
-                    .collect::<Result<_, _>>()?
-            };
-
-            // Merge phase: assign indices to this wave's fresh states in
-            // discovery-rank order (ranks are unique — each rank names one
-            // successor slot, which generated exactly one target state).
-            let mut fresh: Vec<(u64, GlobalState)> = Vec::new();
-            for stripe in &stripes {
-                let map = stripe.lock().expect("no worker panicked");
-                for (state, seen) in map.iter() {
-                    if let Seen::Pending(rank) = seen {
-                        fresh.push((*rank, state.clone()));
-                    }
-                }
-            }
-            fresh.sort_unstable_by_key(|&(rank, _)| rank);
-            for (_, state) in fresh {
-                let idx = states.len();
-                if idx >= composer.options.max_states {
-                    return Err(ArcadeError::StateSpaceTooLarge {
-                        limit: composer.options.max_states,
-                    });
-                }
-                let mut map = stripes[stripe_of(&state)]
-                    .lock()
-                    .expect("no worker panicked");
-                *map.get_mut(&state).expect("claimed in the probe phase") = Seen::Known(idx);
-                drop(map);
-                states.push(state);
-            }
-
-            // Record the wave's transitions in frontier order; fresh targets
-            // now carry their final index in the seen-set.
-            for output in outputs {
-                for (current, resolved) in output {
-                    for (probe, rate) in resolved {
-                        let target = match probe {
-                            Probe::Known(idx) => idx,
-                            Probe::Fresh(state) => {
-                                let map = stripes[stripe_of(&state)]
-                                    .lock()
-                                    .expect("no worker panicked");
-                                match map.get(&state) {
-                                    Some(Seen::Known(idx)) => *idx,
-                                    _ => unreachable!("merge phase indexed every fresh state"),
-                                }
-                            }
-                        };
-                        transitions.push((current, target, rate));
-                    }
-                }
-            }
-            wave_start = wave_end;
-        }
-
-        // Drain the stripes into the final state-lookup map.
-        let mut index_of = HashMap::with_capacity(states.len());
-        for stripe in stripes {
-            for (state, seen) in stripe.into_inner().expect("no worker panicked") {
-                match seen {
-                    Seen::Known(idx) => index_of.insert(state, idx),
-                    Seen::Pending(_) => unreachable!("every wave resolves its pending states"),
-                };
-            }
-        }
-        Ok(Frontier {
-            states,
-            transitions,
-            index_of,
-        })
-    }
-}
-
-/// Stripe of the concurrent seen-set a state belongs to, from its canonical
-/// hash (the deterministic `DefaultHasher`, not the map's randomised one).
-fn stripe_of(state: &GlobalState) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    state.hash(&mut hasher);
-    (hasher.finish() as usize) & (SEEN_STRIPES - 1)
 }
 
 /// Maps a global state to the canonical representative of its orbit under the
@@ -1509,6 +1308,42 @@ mod tests {
         assert!(matches!(
             result,
             Err(ArcadeError::StateSpaceTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn max_states_admits_exactly_the_limit() {
+        // Three distinct components under dedicated repair: 2^3 = 8 flat states.
+        let structure = SystemStructure::new(StructureNode::series(vec![
+            StructureNode::component("a"),
+            StructureNode::component("b"),
+            StructureNode::component("c"),
+        ]));
+        let model = ArcadeModel::builder("three", structure)
+            .component(BasicComponent::from_mttf_mttr("a", 100.0, 1.0).unwrap())
+            .component(BasicComponent::from_mttf_mttr("b", 200.0, 2.0).unwrap())
+            .component(BasicComponent::from_mttf_mttr("c", 300.0, 3.0).unwrap())
+            .repair_unit(
+                RepairUnit::new("ru", RepairStrategy::Dedicated, 1)
+                    .unwrap()
+                    .responsible_for(["a", "b", "c"]),
+            )
+            .build()
+            .unwrap();
+        let compile = |max_states| {
+            CompiledModel::compile_with(
+                &model,
+                ComposerOptions {
+                    max_states,
+                    lumping: LumpingMode::Disabled,
+                    ..Default::default()
+                },
+            )
+        };
+        assert_eq!(compile(8).unwrap().stats().num_states, 8);
+        assert!(matches!(
+            compile(7),
+            Err(ArcadeError::StateSpaceTooLarge { limit: 7 })
         ));
     }
 

@@ -1,8 +1,9 @@
-//! Property-based determinism tests of the sharded frontier: composing a
-//! model with any worker count must produce *bit-identical* results to the
-//! serial exploration — the same states in the same order, the same
-//! transitions and rates, the same metadata — for the flat and the
-//! compositional pipeline alike.
+//! Property-based determinism tests of composition across worker counts:
+//! compiling a model with any `ComposerOptions::exec` must produce
+//! *bit-identical* results to the single-threaded compile — the same states
+//! in the same order, the same transitions and rates, the same metadata — for
+//! the flat and the compositional pipeline alike. The composer is serial and
+//! ignores the worker pool, so this pins that the knob stays inert.
 
 use arcade_core::{
     ArcadeModel, BasicComponent, CompiledModel, ComposerOptions, Disaster, ExecOptions,
@@ -122,7 +123,7 @@ proptest! {
                     "cost rewards, {:?}, {} threads", lumping, threads
                 );
                 // Disaster lookup resolves to the same index through the
-                // merged seen-set.
+                // state-index map.
                 let disaster = model.disaster("all").unwrap();
                 prop_assert_eq!(
                     parallel.disaster_state_index(disaster).unwrap(),

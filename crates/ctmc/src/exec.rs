@@ -1,10 +1,11 @@
 //! Shared execution layer: worker pools on `std` scoped threads.
 //!
 //! Every parallel code path of the Arcade reproduction — the row-sharded
-//! sparse-matrix kernels in this crate, the sharded canonical-orbit frontier
-//! of the composer and the experiment-level strategy sweeps — draws its
-//! thread budget from one [`ExecOptions`] value, so a single `--threads N`
-//! knob controls the whole pipeline. The environment is offline and the only
+//! sparse-matrix kernels in this crate, the product materialisation, the
+//! Monte-Carlo replication batches and the experiment-level strategy sweeps —
+//! draws its thread budget from one [`ExecOptions`] value, so a single
+//! `--threads N` knob controls the whole pipeline. (The composer is serial
+//! and ignores the knob.) The environment is offline and the only
 //! threading substrate is `std::thread::scope`; there is no rayon.
 //!
 //! # Determinism contract
@@ -22,7 +23,7 @@ use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-/// Below this many work units (stored matrix entries, frontier states, ...)
+/// Below this many work units (stored matrix entries, product states, ...)
 /// a kernel runs inline instead of fanning out; thread-spawn latency would
 /// dominate. Results are bit-identical either way.
 pub const MIN_PARALLEL_WORK: usize = 4096;

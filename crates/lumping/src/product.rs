@@ -417,11 +417,10 @@ impl QuotientProduct {
     /// Joint rows are enumerated in index order, sharded across the worker
     /// pool (each worker generates the transitions of a contiguous row range;
     /// the shards are then appended in range order), so the resulting states,
-    /// transition order and rates are bit-identical for every thread count —
-    /// the same contract as the composer's sharded frontier. The initial
-    /// distribution is the product of the factor initials, and every factor
-    /// label is attached as its cylinder extension under the name
-    /// `{factor}/{label}`.
+    /// transition order and rates are bit-identical for every thread count.
+    /// The initial distribution is the product of the factor initials, and
+    /// every factor label is attached as its cylinder extension under the
+    /// name `{factor}/{label}`.
     ///
     /// # Errors
     ///

@@ -36,10 +36,10 @@
 //! wt-experiments query --port 7411 shutdown
 //! ```
 //!
-//! `--threads N` sizes the worker pool shared by the frontier exploration,
-//! the solver kernels and the per-strategy experiment sweeps; `--threads 1`
-//! is the serial path and `--threads 0` (the default) auto-detects. Results
-//! are identical for every thread count.
+//! `--threads N` sizes the worker pool shared by the solver kernels and the
+//! per-strategy experiment sweeps (composition is serial); `--threads 1` is
+//! the serial path and `--threads 0` (the default) auto-detects. Results are
+//! identical for every thread count.
 //!
 //! `--line` selects the process line(s) by index (`--line 2`, `--line 1,2`,
 //! `--line all`; `both` is accepted as an alias of `all`): tables report only

@@ -14,9 +14,18 @@
 //!
 //! Non-finite numbers have no JSON representation and serialize as `null`
 //! (they do not occur in well-posed measures).
+//!
+//! The parser recurses once per nested array or object and refuses documents
+//! nested deeper than 128 levels, so a hostile request line cannot overflow
+//! the stack of the connection thread that parses it.
 
 use std::fmt;
 use std::str::FromStr;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the protocol itself produces has 4 levels (envelope → result →
+/// curve → point).
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,11 +143,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error, or
+    /// of nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -264,6 +275,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,8 +319,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected `{}` at byte {}",
@@ -315,6 +328,20 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses an array or object one level deeper than the current one.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -536,6 +563,23 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "`{text}` must fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("128 levels at byte 128"), "{err}");
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
     }
 
     #[test]

@@ -497,4 +497,10 @@ mod tests {
             assert!(Request::parse_line(line).is_err(), "`{line}` must fail");
         }
     }
+
+    #[test]
+    fn deeply_nested_request_lines_are_rejected() {
+        let err = Request::parse_line(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    }
 }

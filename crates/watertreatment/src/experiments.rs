@@ -267,9 +267,8 @@ fn compiled_analysis<'m>(
 
 /// Runs one independent experiment task per strategy spec on the worker pool
 /// and returns the outcomes in spec order (kept deterministic by in-order
-/// reassembly). The per-task `exec` budget is forwarded so large *flat*
-/// compositions inside a task shard too; the small canonical chains stay
-/// serial via the work thresholds.
+/// reassembly). The per-task `exec` budget is forwarded to the solvers inside
+/// each task; composition is serial.
 fn sweep_strategies<R: Send>(
     specs: &[StrategySpec],
     exec: ExecOptions,
@@ -288,12 +287,14 @@ fn sweep_strategies<R: Send>(
 /// per-family sub-chain quotients instead and never visits these state counts
 /// (see [`table1_compositional`]).
 ///
-/// The absolute numbers depend on the queue encoding (ours canonicalises the
-/// order of waiting components with different priorities, the paper's PRISM
-/// translation does not), but the qualitative claims of the paper hold: the
-/// dedicated strategy yields exactly `2^n` states, FRF and FFF blow the state
-/// space up, their state counts coincide and do not depend on the crew count,
-/// while transition counts grow with the crew count.
+/// The dedicated rows match the paper (`2^n` states) and FRF and FFF blow
+/// the state space up, but the queueing counts do not yet match the paper.
+/// The paper's FRF/FFF state counts do not depend on the crew count; ours do
+/// (Line 1 FRF-1 has 111,809 states, FRF-2 has 178,606, the paper reports
+/// 111,809 for both), and every queueing transition count differs. The queue
+/// encoding is not the cause: [`arcade_core::QueueEncoding::ArrivalOrder`]
+/// widens the gap. Reconciling the repair-queue semantics is the open paper
+/// fidelity item on the ROADMAP.
 ///
 /// # Errors
 ///
@@ -303,8 +304,7 @@ pub fn table1() -> Result<Vec<Table1Row>, ArcadeError> {
 }
 
 /// [`table1`] on an explicit worker pool: one flat composition per
-/// (line, strategy) cell, swept across workers; the large flat frontiers
-/// additionally shard internally.
+/// (line, strategy) cell, swept across workers; each composition is serial.
 ///
 /// # Errors
 ///
@@ -779,24 +779,14 @@ pub fn pair_label(pair: &(StrategySpec, StrategySpec)) -> String {
     format!("{}×{}", pair.0.label, pair.1.label)
 }
 
-/// Reproduces the **two-line facility table**: for every strategy pair, the
-/// per-line availabilities, the combined availability via the paper's
-/// `A = A1 + A2 − A1·A2`, and the same quantity solved on the **genuine
-/// joint chain** — the materialised Line 1 × Line 2 product of the per-line
+/// Reproduces the **two-line facility table** for explicit strategy pairs:
+/// for every pair, the per-line availabilities, the combined availability via
+/// the paper's `A = A1 + A2 − A1·A2`, and the same quantity solved on the
+/// **genuine joint chain** — the Line 1 × Line 2 product of the per-line
 /// quotients (449 × 257 blocks for FRF-1 × FRF-1). The `difference` column
 /// is the validation gap; the `residual` column is the matrix-free
-/// Kronecker-sum balance certificate of the joint stationary vector.
-///
-/// # Errors
-///
-/// Propagates composition and solver errors.
-pub fn table_facility() -> Result<Vec<TableFacilityRow>, ArcadeError> {
-    table_facility_with(&paired_strategies(), ExecOptions::default())
-}
-
-/// [`table_facility`] for explicit strategy pairs on an explicit worker pool
-/// (pairs swept across workers; each joint materialisation additionally
-/// shards internally).
+/// Kronecker-sum balance certificate of the joint stationary vector. Pairs
+/// are swept across the worker pool; [`paired_strategies`] lists the paper's.
 ///
 /// # Errors
 ///
@@ -1162,137 +1152,6 @@ pub fn format_kline_reduction(rows: &[KLineReductionRow]) -> String {
     out
 }
 
-/// Joint facility recovery after the cross-line all-pumps disaster: for each
-/// strategy pair, the probability that the facility again delivers **full
-/// service on at least one line** (and, in the second figure, **basic
-/// service**, X1 = 1/3) within the deadline. Evaluated on the materialised
-/// Line 1 × Line 2 product — the construction that stays exact although the
-/// disaster couples the lines' start state.
-///
-/// # Errors
-///
-/// Propagates composition and solver errors.
-pub fn facility_recovery(times: &[f64]) -> Result<(Figure, Figure), ArcadeError> {
-    facility_recovery_with(times, &paired_strategies(), ExecOptions::default())
-}
-
-/// [`facility_recovery`] for explicit pairs on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates composition and solver errors.
-pub fn facility_recovery_with(
-    times: &[f64],
-    pairs: &[(StrategySpec, StrategySpec)],
-    exec: ExecOptions,
-) -> Result<(Figure, Figure), ArcadeError> {
-    let series = exec::map_ordered(pairs, exec, |pair| {
-        let model = facility::facility_model(&pair.0, &pair.1)?;
-        let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
-        Ok::<_, ArcadeError>((
-            Series {
-                label: pair_label(pair),
-                points: analysis.survivability_curve(FACILITY_DISASTER_ALL_PUMPS, 1.0, times)?,
-            },
-            Series {
-                label: pair_label(pair),
-                points: analysis.survivability_curve(
-                    FACILITY_DISASTER_ALL_PUMPS,
-                    service_levels::LINE1_X1,
-                    times,
-                )?,
-            },
-        ))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let (full, basic): (Vec<Series>, Vec<Series>) = series.into_iter().unzip();
-    let fig_full = Figure {
-        id: "fig-facility-full".to_string(),
-        title: "Facility recovery to full service, all pumps failed".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: full,
-    };
-    let fig_basic = Figure {
-        id: "fig-facility-basic".to_string(),
-        title: "Facility recovery to basic service (X1), all pumps failed".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: basic,
-    };
-    Ok((fig_full, fig_basic))
-}
-
-/// Joint facility repair cost after the cross-line all-pumps disaster:
-/// instantaneous cost rate and accumulated cost on the materialised product,
-/// with the per-line cost rewards summed (costs of independent subsystems
-/// add).
-///
-/// # Errors
-///
-/// Propagates composition and solver errors.
-pub fn facility_cost(
-    instantaneous_times: &[f64],
-    accumulated_times: &[f64],
-) -> Result<(Figure, Figure), ArcadeError> {
-    facility_cost_with(
-        instantaneous_times,
-        accumulated_times,
-        &paired_strategies(),
-        ExecOptions::default(),
-    )
-}
-
-/// [`facility_cost`] for explicit pairs on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates composition and solver errors.
-pub fn facility_cost_with(
-    instantaneous_times: &[f64],
-    accumulated_times: &[f64],
-    pairs: &[(StrategySpec, StrategySpec)],
-    exec: ExecOptions,
-) -> Result<(Figure, Figure), ArcadeError> {
-    let series = exec::map_ordered(pairs, exec, |pair| {
-        let model = facility::facility_model(&pair.0, &pair.1)?;
-        let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
-        Ok::<_, ArcadeError>((
-            Series {
-                label: pair_label(pair),
-                points: analysis.instantaneous_cost_curve(
-                    Some(FACILITY_DISASTER_ALL_PUMPS),
-                    instantaneous_times,
-                )?,
-            },
-            Series {
-                label: pair_label(pair),
-                points: analysis
-                    .accumulated_cost_curve(Some(FACILITY_DISASTER_ALL_PUMPS), accumulated_times)?,
-            },
-        ))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let (inst, acc): (Vec<Series>, Vec<Series>) = series.into_iter().unzip();
-    let fig_inst = Figure {
-        id: "fig-facility-inst-cost".to_string(),
-        title: "Instantaneous facility cost, all pumps failed".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Impuls Costs (I)".to_string(),
-        series: inst,
-    };
-    let fig_acc = Figure {
-        id: "fig-facility-acc-cost".to_string(),
-        title: "Accumulated facility cost, all pumps failed".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Cumulative costs (I)".to_string(),
-        series: acc,
-    };
-    Ok((fig_inst, fig_acc))
-}
-
 /// Renders facility table rows as a plain-text table.
 pub fn format_table_facility(rows: &[TableFacilityRow]) -> String {
     let mut out = String::from(
@@ -1538,19 +1397,20 @@ mod tests {
     fn facility_recovery_curves_start_at_zero_and_grow() {
         let pairs = [(strategies::dedicated(), strategies::dedicated())];
         let times = [0.0, 1.0, 2.0];
-        let (full, basic) = facility_recovery_with(&times, &pairs, ExecOptions::default()).unwrap();
-        assert_eq!(full.series.len(), 1);
-        let curve = &full.series[0].points;
+        let suite =
+            facility_suite_with(&pairs, &times, &times, &times, ExecOptions::default()).unwrap();
+        assert_eq!(suite.recovery_full.series.len(), 1);
+        let curve = &suite.recovery_full.series[0].points;
         assert_eq!(curve[0].1, 0.0, "all pumps failed at t = 0");
         assert!(curve[1].1 < curve[2].1, "recovery probability grows");
         // Basic service (X1) is reached no later than full service.
-        for (f, b) in curve.iter().zip(basic.series[0].points.iter()) {
+        let basic = &suite.recovery_basic.series[0].points;
+        for (f, b) in curve.iter().zip(basic) {
             assert!(b.1 >= f.1 - 1e-12);
         }
 
-        let (inst, acc) =
-            facility_cost_with(&times, &times, &pairs, ExecOptions::default()).unwrap();
         // Seven failed pumps at 3/h each dominate the initial cost rate.
+        let (inst, acc) = (&suite.cost_instantaneous, &suite.cost_accumulated);
         assert!(inst.series[0].points[0].1 > 21.0 - 1e-9);
         assert_eq!(acc.series[0].points[0].1, 0.0);
         assert!(acc.series[0].points[2].1 > acc.series[0].points[1].1);

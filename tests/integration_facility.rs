@@ -2,8 +2,8 @@
 //!
 //! * pinned joint block counts for **all** strategy pairs (the product of the
 //!   pinned per-line quotient sizes, e.g. FRF-1 × FRF-1 = 449 × 257);
-//! * `table_facility` validating the paper's `A = A1 + A2 − A1·A2` against
-//!   the genuine joint chain to ≤ 1e-9 for several strategy pairs;
+//! * `table_facility_with` validating the paper's `A = A1 + A2 − A1·A2`
+//!   against the genuine joint chain to ≤ 1e-9 for several strategy pairs;
 //! * the flagship FRF-1 × FRF-1 product solved end to end through the
 //!   sharded exec path with bit-identical results at 1/2/4/8 threads;
 //! * the joint-exploration fallback when two lines share a repair unit.
@@ -71,11 +71,11 @@ fn joint_block_counts_are_pinned_for_all_strategy_pairs() {
     }
 }
 
-/// `table_facility`: the combined-availability formula is validated against
-/// the genuine joint chain to ≤ 1e-9 for three cheap strategy pairs (the
-/// flagship FRF-1 × FRF-1 pair has its own test below; the full five-pair
-/// table runs in the `facility_product` bench and the `wt_experiments
-/// facility` command).
+/// `table_facility_with`: the combined-availability formula is validated
+/// against the genuine joint chain to ≤ 1e-9 for three cheap strategy pairs
+/// (the flagship FRF-1 × FRF-1 pair has its own test below; the full
+/// five-pair table runs in the `facility_product` bench and the
+/// `wt_experiments facility` command).
 #[test]
 fn table_facility_validates_the_combined_availability_formula() {
     let pairs = [

@@ -1,8 +1,9 @@
 //! End-to-end determinism of the parallel execution layer on the paper's
 //! models: composing and analysing Line 1 and Line 2 with 2/4/8 worker
 //! threads must reproduce the single-threaded pipeline — bit-identical
-//! composed chains (including the pinned canonical state counts) and
-//! measures agreeing far below the 1e-12 acceptance bound.
+//! composed chains (including the pinned canonical state counts; the
+//! composer itself is serial) and measures agreeing far below the 1e-12
+//! acceptance bound.
 
 use arcade_core::{Analysis, CompiledModel, ComposerOptions, ExecOptions, LumpingMode};
 use watertreatment::experiments::{self, grids, service_levels};
@@ -18,7 +19,7 @@ fn options(lumping: LumpingMode, threads: usize) -> ComposerOptions {
     }
 }
 
-/// The canonical frontier explores the same states in the same order for
+/// The canonical composition explores the same states in the same order for
 /// every worker count, on both lines and for the heavy queueing strategies;
 /// the pinned canonical counts (Line 1: 160/449/727, Line 2: 96/257/387)
 /// hold for every thread count.
@@ -65,8 +66,9 @@ fn canonical_frontier_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The *flat* Line 2 frontier (8129 states under FRF-1) is large enough to
-/// engage the sharded waves and kernels; it must still be bit-identical.
+/// The *flat* Line 2 chain (8129 states under FRF-1) is large enough to
+/// engage the sharded solver kernels; its composition must be bit-identical
+/// for every worker count.
 #[test]
 fn flat_frontier_is_bit_identical_across_thread_counts() {
     let model = facility::line_model(Line::Line2, &strategies::frf(1)).unwrap();

@@ -9,7 +9,8 @@
 //!   Line 2 copies), `n² → n(n+1)/2`, bit-identical at 1/2/4/8 threads;
 //! * the matrix-free Kronecker-sum transient path agreeing with the
 //!   materialised quotient path on survivability curves;
-//! * the shared facility suite matching the standalone experiment runners.
+//! * the shared facility suite matching the table runner and the direct
+//!   `FacilityAnalysis` curve calls.
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
 use watertreatment::experiments;
@@ -188,7 +189,8 @@ fn matrix_free_survivability_agrees_with_the_quotient_path() {
 }
 
 /// The shared facility suite (one `FacilityAnalysis` per pair across the
-/// table and all four figures) reproduces the standalone experiment runners.
+/// table and all four figures) reproduces the table runner and the direct
+/// `FacilityAnalysis` curve calls bit for bit.
 #[test]
 fn facility_suite_matches_the_standalone_runners() {
     let pairs = [(strategies::dedicated(), strategies::dedicated())];
@@ -200,11 +202,29 @@ fn facility_suite_matches_the_standalone_runners() {
     assert_eq!(suite.table, table);
     assert_eq!(suite.table[0].solved_blocks, suite.table[0].joint_blocks);
 
-    let (full, basic) = experiments::facility_recovery_with(&times, &pairs, exec).unwrap();
-    assert_eq!(suite.recovery_full.series, full.series);
-    assert_eq!(suite.recovery_basic.series, basic.series);
-
-    let (inst, acc) = experiments::facility_cost_with(&times, &times, &pairs, exec).unwrap();
-    assert_eq!(suite.cost_instantaneous.series, inst.series);
-    assert_eq!(suite.cost_accumulated.series, acc.series);
+    let model = facility::facility_model(&pairs[0].0, &pairs[0].1).unwrap();
+    let analysis = FacilityAnalysis::new(&model).unwrap();
+    let disaster = facility::FACILITY_DISASTER_ALL_PUMPS;
+    assert_eq!(
+        suite.recovery_full.series[0].points,
+        analysis.survivability_curve(disaster, 1.0, &times).unwrap()
+    );
+    assert_eq!(
+        suite.recovery_basic.series[0].points,
+        analysis
+            .survivability_curve(disaster, experiments::service_levels::LINE1_X1, &times)
+            .unwrap()
+    );
+    assert_eq!(
+        suite.cost_instantaneous.series[0].points,
+        analysis
+            .instantaneous_cost_curve(Some(disaster), &times)
+            .unwrap()
+    );
+    assert_eq!(
+        suite.cost_accumulated.series[0].points,
+        analysis
+            .accumulated_cost_curve(Some(disaster), &times)
+            .unwrap()
+    );
 }
