@@ -27,11 +27,26 @@
 //!   **jointly** (with `line/component` prefixed names); the facility chain
 //!   is then the product over *groups*.
 //! * **A cross-line disaster** (a [`FacilityModel`] disaster naming
-//!   components of several lines) leaves the dynamics independent — the
-//!   product chain stays exact, started from the tuple of per-line disaster
-//!   blocks — but it invalidates the *scalar* product-form shortcuts such as
-//!   `A = A1 + A2 − A1·A2`: measures conditioned on such a disaster are
-//!   evaluated on the materialised product instead.
+//!   components of several lines) leaves the dynamics independent: it only
+//!   sets where each group starts, at its own share of the disaster, so the
+//!   joint start is a product state.
+//!
+//! Groups therefore evolve independently after any facility disaster, and
+//! every facility measure factorises over them:
+//!
+//! * availability is `1 − Π_g P_g(no member line up)`, the paper's
+//!   `A = A1 + A2 − A1·A2` for two lines;
+//! * survivability ("some line is back at level ≥ s by time t") is the
+//!   earliest of independent per-group first-passage times, so it is
+//!   `1 − Π_g (1 − F_g(t))`;
+//! * instantaneous and accumulated cost are additive rewards, so they are
+//!   sums of per-group curves.
+//!
+//! [`FacilityAnalysis`] answers all of them from per-group solves. The joint
+//! chain (the quotient product, orbit-folded when groups are
+//! interchangeable) is built only for the joint-chain methods and
+//! [`FacilityAnalysis::compiled_quotient`], which serve as oracles and feed
+//! the daemon.
 //!
 //! Within a group the solvers run on the group's exact quotient whenever the
 //! per-line masks are unions of blocks (always true for singleton groups,
@@ -40,6 +55,7 @@
 //! usable.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Add;
 
 use arcade_lumping::{lump, InitialPartition, ProductOrbit, QuotientProduct};
 use arcade_symmetry::chain::group_identical_chains;
@@ -48,7 +64,7 @@ use ctmc::{
     Ctmc, ExecOptions, RewardStructure, SteadyStateSolver, TransientOptions, TransientSolver,
 };
 
-use crate::composer::{CompiledModel, ComposerOptions, StateSpaceStats};
+use crate::composer::{service_at_least, CompiledModel, ComposerOptions, StateSpaceStats};
 use crate::disaster::Disaster;
 use crate::error::ArcadeError;
 use crate::measures::{FacilityMeasure, MeasureResult};
@@ -129,8 +145,7 @@ impl FacilityDisaster {
 
 /// How the facility chain is assembled from the lines: the partition of the
 /// lines into independently-evolving groups, plus the list of cross-line
-/// disasters that force joint (materialised-product) evaluation of the
-/// measures conditioned on them.
+/// disasters (which start several lines at once but couple nothing).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompositionTree {
     /// The groups, ordered by their smallest line index.
@@ -561,6 +576,18 @@ impl CompiledGroup {
         out
     }
 
+    /// The best service level any member line delivers, per solver-chain
+    /// state.
+    fn service_levels(&self) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.solver_chain().num_states()];
+        for levels in &self.line_service {
+            for (slot, &level) in out.iter_mut().zip(levels) {
+                *slot = slot.max(level);
+            }
+        }
+        out
+    }
+
     /// The solver-chain state the group occupies right after `disaster`
     /// (its regular initial state when the disaster does not touch it).
     fn start_state(&self, disaster: Option<&Disaster>) -> Result<usize, ArcadeError> {
@@ -688,9 +715,11 @@ pub struct JointReduction {
     pub exact_blocks: usize,
 }
 
-/// Evaluates facility-level measures: per-line chains composed into the
-/// quotient product, with product-form shortcuts where independence allows
-/// and genuine joint solves where it does not (or for validation).
+/// Evaluates facility-level measures. Availability, survivability and the
+/// cost curves combine solves on each composition group's own chain (see the
+/// module docs for why that is exact). The genuine joint chain, the quotient
+/// product of the group chains, is built on demand for the joint-chain
+/// methods, which validate the product form and feed the daemon.
 #[derive(Debug, Clone)]
 pub struct FacilityAnalysis<'a> {
     model: &'a FacilityModel,
@@ -700,18 +729,25 @@ pub struct FacilityAnalysis<'a> {
     /// first use and shared by all steady-state measures (the chains are
     /// immutable, so one solve serves them all).
     stationaries: std::sync::OnceLock<Vec<Vec<f64>>>,
+    /// One solver-ready artifact per group, built on first use: the group's
+    /// solver chain with its any-line-operational mask, best line service
+    /// level, cost rewards and the group's share of every facility
+    /// disaster. The survivability and cost curves combine curves solved on
+    /// these.
+    group_quotients: std::sync::OnceLock<Vec<CompiledQuotient>>,
     /// The joint chain, built on first use and shared by every joint
     /// measure: the quotient product, its sorted-tuple orbit fold (when
     /// groups are interchangeable), the materialised chain and the facility
-    /// observations on it. Measures no longer re-materialise the product per
-    /// call.
+    /// observations on it.
     joint: std::sync::OnceLock<JointCache>,
     /// The reduction ladder incl. the exact-lumping minimality certificate
     /// (a full partition-refinement pass), computed only when asked for.
     reduction: std::sync::OnceLock<JointReduction>,
 }
 
-/// Everything the joint measures share (see `FacilityAnalysis::joint`).
+/// Everything the joint-chain methods share (see `FacilityAnalysis::joint`):
+/// [`FacilityAnalysis::compiled_quotient`], the joint availability solve and
+/// the reduction ladder. The survivability and cost curves do not use it.
 #[derive(Debug, Clone)]
 struct JointCache {
     product: QuotientProduct,
@@ -720,9 +756,7 @@ struct JointCache {
     /// The solver-ready artifact every joint measure runs on: the
     /// materialised chain (the orbit quotient under factor symmetry, the
     /// full product otherwise) plus the facility observations and the
-    /// precomputed disaster start blocks. Survivability and cost measures
-    /// delegate to its methods, so an externally cached artifact answers
-    /// them bit-identically to this analysis.
+    /// precomputed disaster start blocks.
     quotient: CompiledQuotient,
 }
 
@@ -811,6 +845,7 @@ impl<'a> FacilityAnalysis<'a> {
             groups,
             options,
             stationaries: std::sync::OnceLock::new(),
+            group_quotients: std::sync::OnceLock::new(),
             joint: std::sync::OnceLock::new(),
             reduction: std::sync::OnceLock::new(),
         })
@@ -931,6 +966,39 @@ impl<'a> FacilityAnalysis<'a> {
         Ok(self.stationaries.get_or_init(|| computed))
     }
 
+    /// The solver-ready artifact of every group (see the `group_quotients`
+    /// field), built once.
+    fn group_quotients(&self) -> Result<&[CompiledQuotient], ArcadeError> {
+        if let Some(cached) = self.group_quotients.get() {
+            return Ok(cached);
+        }
+        let built = self
+            .groups
+            .iter()
+            .map(|group| {
+                let mut disaster_starts = BTreeMap::new();
+                for disaster in self.model.disasters() {
+                    let share = self.group_disaster(group, disaster)?;
+                    disaster_starts.insert(
+                        disaster.name().to_string(),
+                        group.start_state(share.as_ref())?,
+                    );
+                }
+                CompiledQuotient::from_parts(crate::quotient::QuotientParts {
+                    name: group.label.clone(),
+                    chain: group.solver_chain().clone(),
+                    operational: group.any_line_operational(),
+                    service: group.service_levels(),
+                    cost: group.solver_cost_rewards().clone(),
+                    initial: group.start_state(None)?,
+                    disaster_starts,
+                    source_states: group.compiled.chain().num_states(),
+                })
+            })
+            .collect::<Result<Vec<_>, ArcadeError>>()?;
+        Ok(self.group_quotients.get_or_init(|| built))
+    }
+
     /// Steady-state availability of one line: the long-run probability that
     /// the line is fully operational.
     ///
@@ -984,7 +1052,7 @@ impl<'a> FacilityAnalysis<'a> {
     }
 
     /// The shared joint-chain cache: built on first use, reused by every
-    /// joint measure (availability, survivability, costs, reductions).
+    /// joint-chain method (artifact, availability, reductions).
     fn joint(&self) -> Result<&JointCache, ArcadeError> {
         if let Some(cache) = self.joint.get() {
             return Ok(cache);
@@ -1084,10 +1152,10 @@ impl<'a> FacilityAnalysis<'a> {
 
     /// The immutable solver-ready artifact of the facility's joint chain
     /// (built on first use, then cloned out of the cache): the compile/solve
-    /// split of [`CompiledQuotient`]. Survivability and cost queries
-    /// answered on the artifact are bit-identical to the corresponding
-    /// methods of this analysis, because those methods delegate to the same
-    /// artifact.
+    /// split of [`CompiledQuotient`]. It is what the daemon caches for a
+    /// facility spec. Its survivability and cost curves solve the joint
+    /// chain and agree with the product-form methods of this analysis to
+    /// within 1e-12 relative; they are not bit-identical to them.
     ///
     /// # Errors
     ///
@@ -1327,12 +1395,9 @@ impl<'a> FacilityAnalysis<'a> {
     ) -> Result<Vec<bool>, ArcadeError> {
         let mut out = vec![false; product.num_states()];
         for (index, group) in self.groups.iter().enumerate() {
-            for service in &group.line_service {
-                let mask: Vec<bool> = service.iter().map(|&l| l >= threshold - 1e-12).collect();
-                let expanded = product.expand_mask(index, &mask)?;
-                for (slot, up) in out.iter_mut().zip(expanded) {
-                    *slot |= up;
-                }
+            let mask = service_at_least(&group.service_levels(), threshold);
+            for (slot, up) in out.iter_mut().zip(product.expand_mask(index, &mask)?) {
+                *slot |= up;
             }
         }
         Ok(out)
@@ -1345,11 +1410,9 @@ impl<'a> FacilityAnalysis<'a> {
     fn joint_service_levels(&self, product: &QuotientProduct) -> Result<Vec<f64>, ArcadeError> {
         let mut out = vec![0.0f64; product.num_states()];
         for (index, group) in self.groups.iter().enumerate() {
-            for service in &group.line_service {
-                let expanded = product.expand_values(index, service)?;
-                for (slot, level) in out.iter_mut().zip(expanded) {
-                    *slot = slot.max(level);
-                }
+            let expanded = product.expand_values(index, &group.service_levels())?;
+            for (slot, level) in out.iter_mut().zip(expanded) {
+                *slot = slot.max(level);
             }
         }
         Ok(out)
@@ -1415,15 +1478,20 @@ impl<'a> FacilityAnalysis<'a> {
 
     /// Facility survivability after a (possibly cross-line) disaster: the
     /// probability that, within each deadline, the facility again delivers a
-    /// service level of at least `service_level` **on some line**. Evaluated
-    /// on the cached joint chain (the sorted-tuple orbit quotient under
-    /// factor symmetry) started from the disaster's state — exact because
-    /// the orbit partition is ordinarily lumpable and the goal set is a
-    /// union of orbits.
+    /// service level of at least `service_level` **on some line**.
+    ///
+    /// Product form: the facility is back once the first group is back, and
+    /// the groups evolve independently from their shares of the disaster,
+    /// so with `F_g(t)` the probability that group `g` is back by `t` the
+    /// curve is `1 − Π_g (1 − F_g(t))`. Each `F_g` is solved on the group's
+    /// own quotient and the curves are combined in group order, which keeps
+    /// the result bit-identical at every thread count. The joint chain is
+    /// never built; [`FacilityAnalysis::compiled_quotient`] answers the same
+    /// query on it to within 1e-12 relative.
     ///
     /// # Errors
     ///
-    /// Rejects unknown disasters and invalid service levels; propagates
+    /// Rejects invalid service levels, then unknown disasters; propagates
     /// solver errors.
     pub fn survivability_curve(
         &self,
@@ -1437,20 +1505,17 @@ impl<'a> FacilityAnalysis<'a> {
             });
         }
         let disaster = self.lookup_disaster(disaster)?;
-        self.joint()?.quotient.survivability_curve(
-            disaster.name(),
-            service_level,
-            times,
-            self.exec(),
-        )
+        self.fold_group_curves(times, either_recovered, |quotient| {
+            quotient.survivability_curve(disaster.name(), service_level, times, self.exec())
+        })
     }
 
     /// Facility survivability evaluated **matrix-free**: the same quantity
     /// as [`FacilityAnalysis::survivability_curve`], but driven through the
     /// Kronecker-sum [`arcade_lumping::KroneckerSum`] operator of the
     /// unreduced product — the joint chain is never materialised, let alone
-    /// lumped. Used as the independent cross-check of the quotient path and
-    /// as the memory-lean fallback for products too large to materialise.
+    /// lumped. Used as an independent joint-chain cross-check of the
+    /// product-form curve.
     ///
     /// # Errors
     ///
@@ -1500,9 +1565,11 @@ impl<'a> FacilityAnalysis<'a> {
         Ok(disaster)
     }
 
-    /// Expected accumulated facility repair cost after a disaster (cached
-    /// joint chain, per-group cost rewards summed — additive rewards of
-    /// independent subsystems add and stay constant on every folded orbit).
+    /// Expected accumulated facility repair cost, optionally after a
+    /// disaster. The facility cost is the sum of the groups' cost rewards,
+    /// so its expectation is the sum of the per-group curves, each solved
+    /// on the group's own quotient from its share of the disaster and added
+    /// in group order. The joint chain is never built.
     ///
     /// # Errors
     ///
@@ -1513,13 +1580,14 @@ impl<'a> FacilityAnalysis<'a> {
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
         let disaster = self.validated_disaster(disaster)?;
-        self.joint()?
-            .quotient
-            .accumulated_cost_curve(disaster, times, self.exec())
+        self.fold_group_curves(times, f64::add, |quotient| {
+            quotient.accumulated_cost_curve(disaster, times, self.exec())
+        })
     }
 
     /// Expected instantaneous facility cost rate, optionally after a
-    /// disaster.
+    /// disaster: the sum of the per-group curves, as for
+    /// [`FacilityAnalysis::accumulated_cost_curve`].
     ///
     /// # Errors
     ///
@@ -1530,9 +1598,26 @@ impl<'a> FacilityAnalysis<'a> {
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
         let disaster = self.validated_disaster(disaster)?;
-        self.joint()?
-            .quotient
-            .instantaneous_cost_curve(disaster, times, self.exec())
+        self.fold_group_curves(times, f64::add, |quotient| {
+            quotient.instantaneous_cost_curve(disaster, times, self.exec())
+        })
+    }
+
+    /// Folds one curve per group artifact into the facility curve: pointwise
+    /// `combine`, starting from 0, in group order.
+    fn fold_group_curves(
+        &self,
+        times: &[f64],
+        combine: impl Fn(f64, f64) -> f64,
+        group_curve: impl Fn(&CompiledQuotient) -> Result<Vec<(f64, f64)>, ArcadeError>,
+    ) -> Result<Vec<(f64, f64)>, ArcadeError> {
+        let mut folded = vec![0.0f64; times.len()];
+        for quotient in self.group_quotients()? {
+            for (slot, (_, value)) in folded.iter_mut().zip(group_curve(quotient)?) {
+                *slot = combine(*slot, value);
+            }
+        }
+        Ok(times.iter().copied().zip(folded).collect())
     }
 
     /// Evaluates a declarative [`FacilityMeasure`].
@@ -1583,6 +1668,14 @@ impl<'a> FacilityAnalysis<'a> {
             .collect();
         Ok(product.sum_rewards("facility_repair_cost", &per_group)?)
     }
+}
+
+/// The probability that either of two independent events has happened, from
+/// their probabilities `a` and `b`: `a + b·(1 − a)`. Unlike
+/// `1 − (1 − a)(1 − b)` it keeps full relative precision when both are tiny,
+/// and it returns exactly 1 when `b` is 1.
+fn either_recovered(a: f64, b: f64) -> f64 {
+    a + b * (1.0 - a)
 }
 
 /// A line's fully-operational mask and per-state service levels on a group
@@ -1673,7 +1766,7 @@ mod tests {
         assert!(tree.groups.iter().all(|g| !g.is_joint()));
         assert!(tree.groups.iter().all(|g| g.shared_units.is_empty()));
         // The cross-line disaster is recorded but does not merge the groups:
-        // the dynamics stay independent, only scalar shortcuts are barred.
+        // it only sets where each group starts.
         assert_eq!(tree.cross_line_disasters, vec!["both-pumps".to_string()]);
         assert!(facility.disaster("both-pumps").unwrap().is_cross_line());
         assert_eq!(facility.line_index("line2"), Some(1));
@@ -1889,7 +1982,7 @@ mod tests {
     }
 
     #[test]
-    fn facility_survivability_and_costs_run_on_the_joint_chain() {
+    fn facility_survivability_and_costs_match_the_closed_forms() {
         let facility = independent_facility();
         let analysis = FacilityAnalysis::new(&facility).unwrap();
         let times = [0.0, 0.5, 1.0, 2.0, 4.0];
@@ -1924,9 +2017,129 @@ mod tests {
             .unwrap();
         assert_eq!(acc[0].1, 0.0);
         assert!(acc[1].1 < acc[2].1);
-        // Without a disaster the joint chain starts all-up: idle crews only.
+        // Without a disaster both lines start all-up: idle crews only.
         let idle = analysis.instantaneous_cost_curve(None, &[0.0]).unwrap();
         assert!((idle[0].1 - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn either_recovered_keeps_relative_precision_on_small_probabilities() {
+        let combined = either_recovered(either_recovered(0.0, 1e-10), 1e-10);
+        let expected = 2e-10 - 1e-20;
+        assert!(
+            ((combined - expected) / expected).abs() <= 1e-15,
+            "{combined:e} vs {expected:e}"
+        );
+        assert_eq!(either_recovered(0.3, 1.0), 1.0);
+        assert_eq!(either_recovered(0.0, 0.0), 0.0);
+    }
+
+    /// Product-form and joint-chain curves agree to 1e-12 relative, and
+    /// exactly where the joint value is 0 or 1.
+    fn assert_matches_joint(product: &[(f64, f64)], joint: &[(f64, f64)], what: &str) {
+        assert_eq!(product.len(), joint.len(), "{what}");
+        for ((t, p), (joint_t, j)) in product.iter().zip(joint) {
+            assert_eq!(t.to_bits(), joint_t.to_bits(), "{what}");
+            if *j == 0.0 || *j == 1.0 {
+                assert_eq!(p, j, "{what} at t={t}");
+            } else {
+                assert!(
+                    (p - j).abs() <= 1e-12 * j.abs(),
+                    "{what} at t={t}: product form {p} vs joint {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coupled_facility_curves_match_the_joint_chain() {
+        // Lines a and b share one crew, so they form one jointly explored
+        // group; line c is a group of its own. `all-pumps` puts both groups
+        // down, so neither has recovered at t = 0; after `a-and-c` line b
+        // still runs, so the facility has recovered from the start; `c-only`
+        // leaves the a+b group in its initial state.
+        let facility = FacilityModel::builder("coupled-bank")
+            .line("a", pump_line("shared-ru", 100.0, 1.0))
+            .line("b", pump_line("shared-ru", 50.0, 2.0))
+            .line("c", pump_line("ru-c", 80.0, 1.5))
+            .disaster(FacilityDisaster::new(
+                "all-pumps",
+                [("a", "pump"), ("b", "pump"), ("c", "pump")],
+            ))
+            .disaster(FacilityDisaster::new(
+                "a-and-c",
+                [("a", "pump"), ("c", "pump")],
+            ))
+            .disaster(FacilityDisaster::new("c-only", [("c", "pump")]))
+            .build()
+            .unwrap();
+        let tree = facility.composition_tree();
+        assert_eq!(tree.groups.len(), 2);
+        assert!(tree.groups[0].is_joint());
+        assert_eq!(
+            tree.cross_line_disasters,
+            vec!["all-pumps".to_string(), "a-and-c".to_string()]
+        );
+
+        let analysis = FacilityAnalysis::new(&facility).unwrap();
+        let joint = analysis.compiled_quotient().unwrap();
+        let exec = analysis.exec();
+        let times = [0.0, 0.25, 1.0, 3.0];
+        let recovery = analysis
+            .survivability_curve("all-pumps", 1.0, &times)
+            .unwrap();
+        assert_eq!(recovery[0].1, 0.0);
+        assert!(recovery[1].1 > 0.0 && recovery[3].1 < 1.0, "{recovery:?}");
+        for disaster in ["all-pumps", "a-and-c", "c-only"] {
+            for level in [1.0, 0.5] {
+                assert_matches_joint(
+                    &analysis
+                        .survivability_curve(disaster, level, &times)
+                        .unwrap(),
+                    &joint
+                        .survivability_curve(disaster, level, &times, exec)
+                        .unwrap(),
+                    &format!("survivability {disaster} {level}"),
+                );
+            }
+            assert_matches_joint(
+                &analysis
+                    .instantaneous_cost_curve(Some(disaster), &times)
+                    .unwrap(),
+                &joint
+                    .instantaneous_cost_curve(Some(disaster), &times, exec)
+                    .unwrap(),
+                &format!("instantaneous cost {disaster}"),
+            );
+            assert_matches_joint(
+                &analysis
+                    .accumulated_cost_curve(Some(disaster), &times)
+                    .unwrap(),
+                &joint
+                    .accumulated_cost_curve(Some(disaster), &times, exec)
+                    .unwrap(),
+                &format!("accumulated cost {disaster}"),
+            );
+        }
+        assert_matches_joint(
+            &analysis.accumulated_cost_curve(None, &times).unwrap(),
+            &joint.accumulated_cost_curve(None, &times, exec).unwrap(),
+            "accumulated cost without a disaster",
+        );
+
+        // The level check comes before the disaster lookup.
+        assert!(matches!(
+            analysis.survivability_curve("nope", 2.0, &times),
+            Err(ArcadeError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            analysis.survivability_curve("nope", 1.0, &times),
+            Err(ArcadeError::UnsupportedMeasure { .. })
+        ));
+        assert!(matches!(
+            analysis.instantaneous_cost_curve(Some("nope"), &times),
+            Err(ArcadeError::UnsupportedMeasure { .. })
+        ));
     }
 
     #[test]

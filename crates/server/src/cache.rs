@@ -16,7 +16,8 @@
 //! Entries also carry the model *family* (the spec minus its rate scale) and
 //! memoise their stationary distribution once solved;
 //! [`QuotientCache::warm_donor`] hands out a solved vector of a same-family,
-//! same-dimension sibling as the warm start for a rate-perturbed variant.
+//! same-dimension sibling as the warm start for a rate-perturbed variant,
+//! picked by a total order so the donor never depends on hash order.
 //!
 //! The cache is **bounded**: [`QuotientCache::with_capacity`] caps the number
 //! of registered spec keys, evicting the least-recently-used spec (and any
@@ -239,7 +240,10 @@ impl QuotientCache {
     /// A solved stationary vector of a same-family entry with the given
     /// state count, excluding `exclude_code` (the asking entry itself) — the
     /// warm-start donor for a rate-perturbed variant. Dimensions are checked
-    /// here so the guess always fits the asking chain.
+    /// here so the guess always fits the asking chain. Among the solved
+    /// candidates the donor is the one with the smallest presentation code,
+    /// then the earliest in its collision chain, so the same cache contents
+    /// pick the same donor in every process.
     pub fn warm_donor(
         &self,
         family: &str,
@@ -249,14 +253,18 @@ impl QuotientCache {
         let inner = self.inner.lock().unwrap();
         inner
             .by_code
-            .values()
-            .flatten()
-            .filter(|entry| {
-                entry.code != exclude_code
-                    && entry.family == family
-                    && entry.quotient.num_states() == states
+            .iter()
+            .filter(|(&code, _)| code != exclude_code)
+            .flat_map(|(&code, chain)| {
+                chain
+                    .iter()
+                    .enumerate()
+                    .map(move |(position, entry)| ((code, position), entry))
             })
-            .find_map(|entry| entry.stationary())
+            .filter(|(_, entry)| entry.family == family && entry.quotient.num_states() == states)
+            .filter_map(|(rank, entry)| entry.stationary().map(|pi| (rank, pi)))
+            .min_by_key(|(rank, _)| *rank)
+            .map(|(_, pi)| pi)
     }
 
     /// Number of distinct interned artifacts.

@@ -2,11 +2,14 @@
 //!
 //! One connection-handler thread per client; all handlers share one
 //! [`AnalysisService`] (and therefore one cache, one coalescer, one stats
-//! block). A `shutdown` request acknowledges, then stops the accept loop;
+//! block). The accept loop blocks in `accept`; whoever stops the daemon (a
+//! `shutdown` request, [`ServerHandle::shutdown`] or dropping the handle)
+//! sets the shutdown flag and then wakes the loop with one throwaway
+//! connection. A `shutdown` request is acknowledged before the loop stops;
 //! in-flight connections are joined before [`serve`] returns.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -15,12 +18,17 @@ use std::time::Duration;
 use crate::protocol::{Request, Response};
 use crate::service::AnalysisService;
 
-/// How long the accept loop sleeps between polls while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
 /// Read timeout on connections: how often an idle handler re-checks the
 /// shutdown flag, so joining the daemon never waits on a silent client.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// How long the wake-up connection may take to connect before the stopper
+/// gives up on it.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The longest request line, newline included, a connection may send. A
+/// longer line is answered with an error and the connection is closed.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A running daemon: its bound address plus the shutdown controls.
 pub struct ServerHandle {
@@ -38,10 +46,7 @@ impl ServerHandle {
 
     /// Requests shutdown and joins the daemon thread.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.stop();
     }
 
     /// Blocks until something else stops the daemon — a client's `shutdown`
@@ -52,15 +57,37 @@ impl ServerHandle {
             let _ = thread.join();
         }
     }
+
+    /// Stops the accept loop and joins the daemon thread, once.
+    fn stop(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            request_stop(&self.shutdown, self.addr);
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.stop();
     }
+}
+
+/// Sets the shutdown flag, then wakes the accept loop blocked on `addr` with
+/// one throwaway connection (to loopback when the daemon listens on an
+/// unspecified address). The loop sees the flag and drops the connection
+/// unserved.
+fn request_stop(shutdown: &AtomicBool, addr: SocketAddr) {
+    shutdown.store(true, Ordering::SeqCst);
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    // Fails harmlessly when the loop has already exited.
+    let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
 }
 
 /// Binds `addr` and serves it on a background thread.
@@ -85,27 +112,33 @@ pub fn spawn<A: ToSocketAddrs>(
 }
 
 /// Runs the accept loop until `shutdown` is set (by a `shutdown` request or
-/// externally), then joins every connection handler.
+/// externally), then joins every connection handler. Whoever sets the flag
+/// from outside must then connect once to the listener's address to wake
+/// the blocking `accept`, as [`ServerHandle::shutdown`] does.
 pub fn serve(listener: TcpListener, service: Arc<AnalysisService>, shutdown: Arc<AtomicBool>) {
-    if listener.set_nonblocking(true).is_err() {
+    let Ok(addr) = listener.local_addr() else {
+        return;
+    };
+    if listener.set_nonblocking(false).is_err() {
         return;
     }
     let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let service = Arc::clone(&service);
                 let flag = Arc::clone(&shutdown);
                 let handler =
-                    std::thread::spawn(move || handle_connection(stream, &service, &flag));
+                    std::thread::spawn(move || handle_connection(stream, &service, &flag, addr));
                 let mut guard = handlers.lock().unwrap();
                 guard.push(handler);
                 // Reap finished handlers so the vector stays small on
                 // long-lived daemons.
                 guard.retain(|h| !h.is_finished());
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => break,
         }
@@ -116,9 +149,16 @@ pub fn serve(listener: TcpListener, service: Arc<AnalysisService>, shutdown: Arc
 }
 
 /// Serves one connection: one JSON request per line, one JSON response per
-/// line, until the peer closes or requests shutdown.
-fn handle_connection(stream: TcpStream, service: &AnalysisService, shutdown: &AtomicBool) {
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(READ_POLL)).is_err() {
+/// line, until the peer closes, sends a line longer than [`MAX_LINE_BYTES`]
+/// or requests shutdown. `addr` is the listener's address, which a
+/// `shutdown` request connects to to wake the accept loop.
+fn handle_connection(
+    stream: TcpStream,
+    service: &AnalysisService,
+    shutdown: &AtomicBool,
+    addr: SocketAddr,
+) {
+    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
@@ -128,8 +168,17 @@ fn handle_connection(stream: TcpStream, service: &AnalysisService, shutdown: &At
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // The buffered line never grows past the cap: one that fills it
+        // without a newline is refused.
+        let budget = (MAX_LINE_BYTES - line.len()) as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => return,
+            Ok(_) if line.len() == MAX_LINE_BYTES && !line.ends_with('\n') => {
+                let refusal =
+                    Response::Err(format!("request line longer than {MAX_LINE_BYTES} bytes"));
+                let _ = writeln!(writer, "{}", refusal.to_json());
+                return;
+            }
             Ok(_) => {}
             // A read timeout: `read_line` has appended any partial bytes to
             // `line`, so keep accumulating — just re-check the flag first.
@@ -163,7 +212,7 @@ fn handle_connection(stream: TcpStream, service: &AnalysisService, shutdown: &At
             return;
         }
         if stop {
-            shutdown.store(true, Ordering::SeqCst);
+            request_stop(shutdown, addr);
             return;
         }
     }

@@ -5,7 +5,11 @@
 //! same [`AnalysisService::handle`] entry point, which is what makes
 //! "daemon responses are bit-identical to in-process results" a structural
 //! property rather than a numerical accident: both paths execute the same
-//! [`CompiledQuotient`] methods.
+//! [`CompiledQuotient`] methods. For a facility spec the cached artifact is
+//! the joint chain, `FacilityAnalysis::compiled_quotient()`: the daemon's
+//! facility curves are bit-identical to that artifact's, and agree with the
+//! product-form `FacilityAnalysis` curves, solved per group, to 1e-12
+//! relative.
 //!
 //! Per query the service:
 //!

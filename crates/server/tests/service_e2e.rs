@@ -1,12 +1,15 @@
 //! End-to-end daemon tests over real TCP on an ephemeral port: responses
-//! are bit-identical to the in-process `FacilityAnalysis` path at every
+//! are bit-identical to the in-process compiled-quotient path at every
 //! thread count, the warm cache answers repeats without recompiling or
 //! re-solving (asserted on the service's own counters, not wall-clock),
-//! the metrics exposition agrees with the stats snapshot, and concurrent
-//! clients coalesce onto one transient pass.
+//! the metrics exposition agrees with the stats snapshot, concurrent
+//! clients coalesce onto one transient pass, an idle daemon stops without
+//! any client, and an overlong request line is refused.
 
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
 use arcade_server::{server, AnalysisService, Client, ServerHandle};
@@ -30,7 +33,8 @@ fn curves_bit_identical(served: &[(f64, f64)], reference: &[(f64, f64)]) -> bool
 /// The daemon's DED×DED facility answers are bit-identical to the
 /// in-process `FacilityAnalysis` compiled-quotient path — at 1, 2, 4 and 8
 /// worker threads (per thread count, daemon and reference share the same
-/// `ExecOptions`).
+/// `ExecOptions`). The served recovery curve, solved on the joint chain,
+/// also agrees with the analysis's product-form curve to 1e-12 relative.
 #[test]
 fn daemon_matches_in_process_facility_analysis_at_every_thread_count() {
     let times = [0.0, 25.0, 50.0];
@@ -42,12 +46,12 @@ fn daemon_matches_in_process_facility_analysis_at_every_thread_count() {
             ..ComposerOptions::default()
         };
         let analysis = FacilityAnalysis::with_options(&model, options).unwrap();
-        let reference_availability = analysis
-            .compiled_quotient()
-            .unwrap()
-            .availability(exec)
+        let joint = analysis.compiled_quotient().unwrap();
+        let reference_availability = joint.availability(exec).unwrap();
+        let reference_curve = joint
+            .survivability_curve(FACILITY_DISASTER_ALL_PUMPS, 1.0, &times, exec)
             .unwrap();
-        let reference_curve = analysis
+        let product_form_curve = analysis
             .survivability_curve(FACILITY_DISASTER_ALL_PUMPS, 1.0, &times)
             .unwrap();
 
@@ -69,6 +73,12 @@ fn daemon_matches_in_process_facility_analysis_at_every_thread_count() {
             curves_bit_identical(&served_curve, &reference_curve),
             "threads={threads}: {served_curve:?} vs {reference_curve:?}"
         );
+        for ((t, served), (_, product)) in served_curve.iter().zip(&product_form_curve) {
+            assert!(
+                (served - product).abs() <= 1e-12 * served.abs(),
+                "threads={threads}, t={t}: served {served} vs product form {product}"
+            );
+        }
         handle.shutdown();
     }
 }
@@ -227,4 +237,57 @@ fn client_shutdown_request_stops_the_daemon() {
             || Client::connect(addr).unwrap().ping().is_err(),
         "the daemon must no longer answer"
     );
+}
+
+/// The accept loop blocks in `accept`, so stopping it must wake it: a
+/// daemon that never saw a client returns from `shutdown()` and from drop,
+/// also when it listens on the unspecified address (the wake-up then goes
+/// to loopback). A hang fails the test instead of stalling it.
+#[test]
+fn idle_daemon_stops_without_any_client() {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let service = Arc::new(AnalysisService::new(ExecOptions::serial()));
+        server::spawn("127.0.0.1:0", Arc::clone(&service))
+            .unwrap()
+            .shutdown();
+        drop(server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap());
+        server::spawn("0.0.0.0:0", service).unwrap().shutdown();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("an idle daemon must stop on shutdown() and on drop");
+    worker.join().unwrap();
+}
+
+/// A request line of 1 MiB + 1 bytes without a newline is answered with an
+/// error naming the limit, and that connection is closed; the daemon keeps
+/// serving other connections.
+#[test]
+fn overlong_request_line_is_refused() {
+    let (handle, _service) = spawn_daemon(1);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // Fail rather than hang if the daemon keeps waiting for a newline.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&vec![b'x'; (1 << 20) + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains("1048576 bytes"),
+        "{reply}"
+    );
+    reply.clear();
+    assert_eq!(
+        reader.read_line(&mut reply).unwrap(),
+        0,
+        "the connection is closed after the refusal"
+    );
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.ping().unwrap();
+    handle.shutdown();
 }

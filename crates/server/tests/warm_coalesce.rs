@@ -1,5 +1,6 @@
-//! Warm starts move the trajectory, never the fixed point; coalesced
-//! identical queries share one solve and receive bit-identical replies.
+//! Warm starts move the trajectory, never the fixed point, and the donor
+//! does not depend on the service's hash state; coalesced identical queries
+//! share one solve and receive bit-identical replies.
 
 use std::sync::{Arc, Barrier};
 
@@ -102,4 +103,62 @@ fn n_concurrent_identical_queries_share_one_solve_bit_identically() {
         (CLIENTS - 1) as u64,
         "every non-leader coalesced onto the one solve: {stats:?}"
     );
+}
+
+/// The warm-start donor is chosen by a total order, not by `HashMap`
+/// iteration order: fresh services fed the same queries for five
+/// same-family, rate-scaled siblings give the same replies, down to the
+/// availability bits, the iteration counts and the warm-start flags. From
+/// the third query on there are several solved siblings to pick from.
+#[test]
+fn warm_start_donor_is_the_same_in_every_service() {
+    const SERVICES: usize = 8;
+    let specs = [
+        "line2/frf-1",
+        "line2/frf-1@1.05",
+        "line2/frf-1@0.95",
+        "line2/frf-1@1.1",
+        "line2/frf-1@0.9",
+    ];
+    let replies = |service: &AnalysisService| -> Vec<(u64, usize, bool)> {
+        specs
+            .iter()
+            .map(|spec| {
+                let payload = match service.handle(&Request::Availability {
+                    model: spec.to_string(),
+                }) {
+                    Response::Ok(payload) => payload,
+                    Response::Err(err) => panic!("{spec}: {err}"),
+                };
+                (
+                    payload
+                        .get("availability")
+                        .and_then(|v| v.as_f64())
+                        .unwrap()
+                        .to_bits(),
+                    payload
+                        .get("iterations")
+                        .and_then(|v| v.as_usize())
+                        .unwrap(),
+                    payload
+                        .get("warm_started")
+                        .and_then(|v| v.as_bool())
+                        .unwrap(),
+                )
+            })
+            .collect()
+    };
+    let reference = replies(&AnalysisService::new(ExecOptions::serial()));
+    assert!(!reference[0].2, "the first sibling solves cold");
+    assert!(
+        reference[1..].iter().all(|reply| reply.2),
+        "every later sibling warm-starts: {reference:?}"
+    );
+    for index in 1..SERVICES {
+        assert_eq!(
+            replies(&AnalysisService::new(ExecOptions::serial())),
+            reference,
+            "service {index} picked a different donor"
+        );
+    }
 }

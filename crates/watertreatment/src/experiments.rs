@@ -833,8 +833,10 @@ fn facility_table_row(
 /// Every figure and table of the facility evaluation, computed from **one
 /// [`FacilityAnalysis`] per strategy pair**: the availability validation
 /// table, both recovery figures and both cost figures share the compiled
-/// per-line chains, the cached materialised joint chain and the group
-/// stationary solves instead of rebuilding them per experiment.
+/// per-line chains, the group stationary solves and the per-group artifacts
+/// the product-form curves are solved on, instead of rebuilding them per
+/// experiment. Only the table's joint column touches the joint chain, and
+/// it never materialises it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FacilitySuite {
     /// The combined-availability validation table.

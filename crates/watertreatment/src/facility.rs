@@ -37,9 +37,8 @@ pub const DISASTER_ALL_PUMPS: &str = "disaster-1-all-pumps";
 pub const DISASTER_LINE2_MIXED: &str = "disaster-2-mixed";
 /// Name of the facility-wide cross-line disaster: every pump of *both* lines
 /// has failed. The dynamics stay independent (each line keeps its own repair
-/// unit), so the facility chain is still the Line 1 × Line 2 product, but the
-/// scalar `A1 + A2 − A1·A2`-style shortcuts do not apply to measures started
-/// from this state — they are evaluated on the materialised product.
+/// unit), so each line starts from its own share of the disaster and the
+/// facility recovery and cost curves after it combine per-line curves.
 pub const FACILITY_DISASTER_ALL_PUMPS: &str = "facility-all-pumps";
 
 /// One of the two independent process lines of the facility.

@@ -6,11 +6,15 @@
 //!   against the genuine joint chain to ≤ 1e-9 for several strategy pairs;
 //! * the flagship FRF-1 × FRF-1 product solved end to end through the
 //!   sharded exec path with bit-identical results at 1/2/4/8 threads;
+//! * the product-form recovery and cost curves against the same curves on
+//!   the materialised joint chain;
 //! * the joint-exploration fallback when two lines share a repair unit.
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis, FacilityModel};
-use watertreatment::experiments::{self, TableFacilityRow};
-use watertreatment::{facility, strategies, StrategySpec};
+use watertreatment::experiments::{self, service_levels, TableFacilityRow};
+use watertreatment::{facility, strategies, Line, StrategySpec};
+
+type Curve = Vec<(f64, f64)>;
 
 fn exec_options(threads: usize) -> ComposerOptions {
     ComposerOptions {
@@ -116,10 +120,12 @@ fn table_facility_validates_the_combined_availability_formula() {
 /// The flagship acceptance case: the FRF-1 × FRF-1 facility product
 /// (449 × 257 = 115,393 blocks) solves end to end through the sharded exec
 /// path with **bit-identical** results at 1, 2, 4 and 8 threads, and the
-/// joint-chain availability agrees with `A1 + A2 − A1·A2` to ≤ 1e-9.
+/// joint-chain availability agrees with `A1 + A2 − A1·A2` to ≤ 1e-9. The
+/// product-form recovery curve and the same curve on the materialised joint
+/// chain are each pinned across thread counts too.
 #[test]
 fn frf1_pair_product_is_bit_identical_across_thread_counts() {
-    let mut reference: Option<(TableFacilityRow, Vec<(f64, f64)>)> = None;
+    let mut reference: Option<(TableFacilityRow, Curve, Curve)> = None;
     for threads in [1usize, 2, 4, 8] {
         let exec = ExecOptions::with_threads(threads);
         let model = facility::facility_model(&strategies::frf(1), &strategies::frf(1))
@@ -140,15 +146,21 @@ fn frf1_pair_product_is_bit_identical_across_thread_counts() {
             row.difference
         );
 
-        // A short facility recovery curve after the cross-line disaster
-        // exercises the materialised product transiently as well.
+        // A short facility recovery curve after the cross-line disaster,
+        // from the per-group quotients and from the materialised product.
+        let times = [0.5, 1.5];
         let curve = analysis
-            .survivability_curve(facility::FACILITY_DISASTER_ALL_PUMPS, 1.0, &[0.5, 1.5])
+            .survivability_curve(facility::FACILITY_DISASTER_ALL_PUMPS, 1.0, &times)
+            .unwrap();
+        let joint_curve = analysis
+            .compiled_quotient()
+            .unwrap()
+            .survivability_curve(facility::FACILITY_DISASTER_ALL_PUMPS, 1.0, &times, exec)
             .unwrap();
 
         match &reference {
-            None => reference = Some((row, curve)),
-            Some((reference_row, reference_curve)) => {
+            None => reference = Some((row, curve, joint_curve)),
+            Some((reference_row, reference_curve, reference_joint)) => {
                 // Bit-identical: the composition, materialisation and solves
                 // must not depend on the thread count at all.
                 assert!(
@@ -165,11 +177,105 @@ fn frf1_pair_product_is_bit_identical_across_thread_counts() {
                         "recovery curve differs at {threads} threads: {v1} vs {v2}"
                     );
                 }
+                for ((t1, v1), (t2, v2)) in reference_joint.iter().zip(joint_curve.iter()) {
+                    assert_eq!(t1, t2);
+                    assert!(
+                        v1.to_bits() == v2.to_bits(),
+                        "joint recovery curve differs at {threads} threads: {v1} vs {v2}"
+                    );
+                }
             }
         }
     }
-    let (row, _) = reference.unwrap();
+    let (row, _, _) = reference.unwrap();
     assert!((row.combined - 0.9470773).abs() < 5e-4, "{}", row.combined);
+}
+
+/// Asserts product-form and joint-chain curves agree to 1e-12 relative, and
+/// exactly where the joint value is 0 or 1.
+fn assert_matches_joint(product: &[(f64, f64)], joint: &[(f64, f64)], what: &str) {
+    assert_eq!(product.len(), joint.len(), "{what}");
+    for ((t, p), (joint_t, j)) in product.iter().zip(joint) {
+        assert_eq!(t.to_bits(), joint_t.to_bits(), "{what}");
+        if *j == 0.0 || *j == 1.0 {
+            assert_eq!(p, j, "{what} at t={t}");
+        } else {
+            assert!(
+                (p - j).abs() <= 1e-12 * j.abs(),
+                "{what} at t={t}: product form {p} vs joint {j}"
+            );
+        }
+    }
+}
+
+/// The oracle of the product-form facility curves: recovery at each level
+/// and both cost curves after the all-pumps disaster, each checked against
+/// the same curve on the materialised joint chain (`compiled_quotient`).
+fn assert_curves_match_joint(analysis: &FacilityAnalysis, levels: &[f64], times: &[f64]) {
+    let model = analysis.model();
+    let joint = analysis.compiled_quotient().unwrap();
+    let exec = analysis.options().exec;
+    let disaster = facility::FACILITY_DISASTER_ALL_PUMPS;
+    for &level in levels {
+        assert_matches_joint(
+            &analysis
+                .survivability_curve(disaster, level, times)
+                .unwrap(),
+            &joint
+                .survivability_curve(disaster, level, times, exec)
+                .unwrap(),
+            &format!("{}: recovery at level {level}", model.name()),
+        );
+    }
+    assert_matches_joint(
+        &analysis
+            .instantaneous_cost_curve(Some(disaster), times)
+            .unwrap(),
+        &joint
+            .instantaneous_cost_curve(Some(disaster), times, exec)
+            .unwrap(),
+        &format!("{}: instantaneous cost", model.name()),
+    );
+    assert_matches_joint(
+        &analysis
+            .accumulated_cost_curve(Some(disaster), times)
+            .unwrap(),
+        &joint
+            .accumulated_cost_curve(Some(disaster), times, exec)
+            .unwrap(),
+        &format!("{}: accumulated cost", model.name()),
+    );
+}
+
+/// The product-form curves match the materialised joint chain on DED × DED
+/// (at both recovery levels the facility figures use), on FRF-1 × FRF-1
+/// (a few points, 115,393 joint blocks) and on the Line 2 DED twin, whose
+/// joint artifact is the orbit-folded chain.
+#[test]
+fn product_form_curves_match_the_joint_chain() {
+    let ded = facility::facility_model(&strategies::dedicated(), &strategies::dedicated())
+        .expect("facility builds");
+    assert_curves_match_joint(
+        &FacilityAnalysis::new(&ded).unwrap(),
+        &[1.0, service_levels::LINE1_X1],
+        &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
+    );
+
+    let frf1 = facility::facility_model(&strategies::frf(1), &strategies::frf(1))
+        .expect("facility builds");
+    assert_curves_match_joint(&FacilityAnalysis::new(&frf1).unwrap(), &[1.0], &[0.5, 1.5]);
+
+    let twin = facility::twin_facility(Line::Line2, &strategies::dedicated()).unwrap();
+    let analysis = FacilityAnalysis::new(&twin).unwrap();
+    assert!(
+        analysis.compiled_quotient().unwrap().num_states() < analysis.stats().joint_blocks,
+        "the twin's joint artifact is orbit-folded"
+    );
+    assert_curves_match_joint(
+        &analysis,
+        &[1.0, service_levels::LINE2_X1],
+        &[0.0, 0.5, 1.5, 4.0],
+    );
 }
 
 /// The matrix-free acceptance pin: for DED × DED and the flagship

@@ -8,7 +8,7 @@
 //! * pinned sorted-tuple orbit counts for twin facilities (two identical
 //!   Line 2 copies), `n² → n(n+1)/2`, bit-identical at 1/2/4/8 threads;
 //! * the matrix-free Kronecker-sum transient path agreeing with the
-//!   materialised quotient path on survivability curves;
+//!   product-form survivability curves;
 //! * the shared facility suite matching the table runner and the direct
 //!   `FacilityAnalysis` curve calls.
 
@@ -16,7 +16,11 @@ use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
 use watertreatment::experiments;
 use watertreatment::{facility, strategies, Line};
 
-type TwinReference = (f64, f64, Vec<(f64, f64)>, Vec<(f64, f64)>);
+type Curve = Vec<(f64, f64)>;
+
+/// Steady-state values, then the product-form recovery and cost curves,
+/// then the same two curves on the orbit-folded joint chain.
+type TwinReference = (f64, f64, [Curve; 4]);
 
 fn options(threads: usize) -> ComposerOptions {
     ComposerOptions {
@@ -56,7 +60,8 @@ fn paper_pairs_carry_no_cross_line_symmetry() {
 /// interchangeable factor chains, so the joint tuples collapse to sorted
 /// pairs — 96² = 9,216 → 96·97/2 = 4,656 under DED — with all measures
 /// matching the product form and the matrix-free certificate, bit-identical
-/// at every thread count.
+/// at every thread count. The recovery and cost curves are pinned both from
+/// the per-group quotients and on the orbit-folded joint chain.
 #[test]
 fn twin_facility_orbit_counts_are_pinned_across_thread_counts() {
     let mut reference: Option<TwinReference> = None;
@@ -88,36 +93,47 @@ fn twin_facility_orbit_counts_are_pinned_across_thread_counts() {
         assert!(joint.residual < 1e-9, "residual {}", joint.residual);
 
         let times = [0.5, 1.5, 4.0];
-        let recovery = analysis
-            .survivability_curve(facility::FACILITY_DISASTER_ALL_PUMPS, 1.0, &times)
-            .unwrap();
-        let cost = analysis
-            .accumulated_cost_curve(Some(facility::FACILITY_DISASTER_ALL_PUMPS), &times)
-            .unwrap();
+        let disaster = facility::FACILITY_DISASTER_ALL_PUMPS;
+        let exec = ExecOptions::with_threads(threads);
+        let folded = analysis.compiled_quotient().unwrap();
+        assert_eq!(folded.num_states(), 4656);
+        let curves = [
+            analysis.survivability_curve(disaster, 1.0, &times).unwrap(),
+            analysis
+                .accumulated_cost_curve(Some(disaster), &times)
+                .unwrap(),
+            folded
+                .survivability_curve(disaster, 1.0, &times, exec)
+                .unwrap(),
+            folded
+                .accumulated_cost_curve(Some(disaster), &times, exec)
+                .unwrap(),
+        ];
 
         match &reference {
             None => {
-                reference = Some((joint.availability, product_form, recovery, cost));
+                reference = Some((joint.availability, product_form, curves));
             }
-            Some((availability, product, recovery_reference, cost_reference)) => {
+            Some((availability, product, reference_curves)) => {
                 assert!(
                     availability.to_bits() == joint.availability.to_bits()
                         && product.to_bits() == product_form.to_bits(),
                     "steady-state results differ at {threads} threads"
                 );
-                for ((t1, v1), (t2, v2)) in recovery_reference.iter().zip(recovery.iter()) {
-                    assert_eq!(t1, t2);
-                    assert!(
-                        v1.to_bits() == v2.to_bits(),
-                        "recovery differs at {threads} threads: {v1} vs {v2}"
-                    );
-                }
-                for ((t1, v1), (t2, v2)) in cost_reference.iter().zip(cost.iter()) {
-                    assert_eq!(t1, t2);
-                    assert!(
-                        v1.to_bits() == v2.to_bits(),
-                        "cost differs at {threads} threads: {v1} vs {v2}"
-                    );
+                let names = [
+                    "recovery",
+                    "cost",
+                    "joint-chain recovery",
+                    "joint-chain cost",
+                ];
+                for ((name, expected), actual) in names.iter().zip(reference_curves).zip(&curves) {
+                    for ((t1, v1), (t2, v2)) in expected.iter().zip(actual) {
+                        assert_eq!(t1, t2);
+                        assert!(
+                            v1.to_bits() == v2.to_bits(),
+                            "{name} differs at {threads} threads: {v1} vs {v2}"
+                        );
+                    }
                 }
             }
         }
@@ -155,9 +171,9 @@ fn twin_orbit_counts_match_the_closed_form_for_all_strategies() {
     }
 }
 
-/// The matrix-free Kronecker-sum transient path (never materialises the
-/// joint chain) agrees with the quotient path to ≤ 1e-9, on both the
-/// asymmetric paper facility and the orbit-folded twin.
+/// The matrix-free Kronecker-sum transient path on the unreduced joint
+/// product agrees with the product-form curves, solved per group, to
+/// ≤ 1e-9, on both the asymmetric paper facility and the twin.
 #[test]
 fn matrix_free_survivability_agrees_with_the_quotient_path() {
     let times = [0.0, 0.5, 1.0, 2.5];
@@ -167,7 +183,7 @@ fn matrix_free_survivability_agrees_with_the_quotient_path() {
     for model in [&paper, &twin] {
         let analysis = FacilityAnalysis::new(model).unwrap();
         for level in [1.0, 1.0 / 3.0] {
-            let quotient = analysis
+            let product_form = analysis
                 .survivability_curve(facility::FACILITY_DISASTER_ALL_PUMPS, level, &times)
                 .unwrap();
             let matrix_free = analysis
@@ -177,7 +193,7 @@ fn matrix_free_survivability_agrees_with_the_quotient_path() {
                     &times,
                 )
                 .unwrap();
-            for ((t, a), (_, b)) in quotient.iter().zip(matrix_free.iter()) {
+            for ((t, a), (_, b)) in product_form.iter().zip(matrix_free.iter()) {
                 assert!(
                     (a - b).abs() <= 1e-9,
                     "{}, level {level}, t={t}: {a} vs {b}",
