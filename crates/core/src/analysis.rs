@@ -1,6 +1,11 @@
-//! High-level analysis driver: evaluates the paper's measures on a compiled model.
+//! High-level analysis front end: evaluates the paper's measures on a
+//! compiled model.
+//!
+//! [`Analysis`] compiles the model once and answers every measure with one
+//! call on the disaster-free [`CompiledQuotient`] of the compiled model's
+//! solver chain, resolving any [`Disaster`] to its start state on that chain
+//! first.
 
-use ctmc::{ExecOptions, RewardSolver, SteadyStateSolver, TransientOptions, TransientSolver};
 use serde::{Deserialize, Serialize};
 
 use crate::composer::{CompiledModel, ComposerOptions, StateSpaceStats};
@@ -8,6 +13,8 @@ use crate::disaster::Disaster;
 use crate::error::ArcadeError;
 use crate::measures::{Measure, MeasureResult};
 use crate::model::ArcadeModel;
+use crate::quotient::{check_service_level, CompiledQuotient};
+use ctmc::ExecOptions;
 
 /// Evaluates dependability and performability measures of an Arcade model.
 ///
@@ -36,6 +43,9 @@ use crate::model::ArcadeModel;
 pub struct Analysis<'a> {
     model: &'a ArcadeModel,
     compiled: CompiledModel,
+    /// The solver-ready artifact of the compiled model's solver chain, with
+    /// no disaster registered: disasters are resolved per query.
+    quotient: CompiledQuotient,
 }
 
 /// A single named series of `(time, value)` points, e.g. one curve of a figure.
@@ -54,10 +64,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates composition errors.
     pub fn new(model: &'a ArcadeModel) -> Result<Self, ArcadeError> {
-        Ok(Analysis {
-            model,
-            compiled: CompiledModel::compile(model)?,
-        })
+        CompiledModel::compile(model).map(|compiled| Self::from_compiled(model, compiled))
     }
 
     /// Compiles the model with explicit composition options.
@@ -69,15 +76,19 @@ impl<'a> Analysis<'a> {
         model: &'a ArcadeModel,
         options: ComposerOptions,
     ) -> Result<Self, ArcadeError> {
-        Ok(Analysis {
-            model,
-            compiled: CompiledModel::compile_with(model, options)?,
-        })
+        CompiledModel::compile_with(model, options)
+            .map(|compiled| Self::from_compiled(model, compiled))
     }
 
     /// Wraps an already compiled model.
     pub fn from_compiled(model: &'a ArcadeModel, compiled: CompiledModel) -> Self {
-        Analysis { model, compiled }
+        let quotient = CompiledQuotient::of_solver_chain(model.name(), &compiled, &[])
+            .expect("the artifact of a compiled model's own solver chain is valid");
+        Analysis {
+            model,
+            compiled,
+            quotient,
+        }
     }
 
     /// The model under analysis.
@@ -91,17 +102,18 @@ impl<'a> Analysis<'a> {
     }
 
     /// Extracts the immutable solver-ready quotient artifact of this
-    /// analysis' compiled model — the compile/solve split of
-    /// [`crate::CompiledQuotient`]: every measure answered on the artifact
-    /// is bit-identical to the corresponding method here, but the artifact
-    /// carries no state-space metadata and can outlive both the model and
-    /// this analysis.
+    /// analysis' compiled model, with every disaster the model names
+    /// resolved — the compile/solve split of [`CompiledQuotient`]. Every
+    /// measure answered on the artifact is bit-identical to the
+    /// corresponding method here (both run the same artifact methods), but
+    /// the artifact carries no state-space metadata and can outlive both the
+    /// model and this analysis.
     ///
     /// # Errors
     ///
     /// Propagates disaster-resolution errors.
-    pub fn compiled_quotient(&self) -> Result<crate::CompiledQuotient, ArcadeError> {
-        crate::CompiledQuotient::of_compiled(self.model, &self.compiled)
+    pub fn compiled_quotient(&self) -> Result<CompiledQuotient, ArcadeError> {
+        CompiledQuotient::of_compiled(self.model, &self.compiled)
     }
 
     /// State-space size statistics (Table 1 of the paper).
@@ -109,64 +121,9 @@ impl<'a> Analysis<'a> {
         self.compiled.stats()
     }
 
-    /// The chain the solvers run on: the exactly lumped quotient when lumping
-    /// is enabled (the default), the flat chain otherwise. Either way the
-    /// measures agree — lumping is exact — but the quotient is smaller.
-    fn solver_chain(&self) -> &ctmc::Ctmc {
-        match self.compiled.lumped() {
-            Some(lumped) => lumped.quotient(),
-            None => self.compiled.chain(),
-        }
-    }
-
     /// The worker pool every solver draws from (the composition knob).
     fn exec(&self) -> ExecOptions {
         self.compiled.options().exec
-    }
-
-    /// Transient options carrying the analysis' worker pool.
-    fn transient_options(&self) -> TransientOptions {
-        TransientOptions {
-            exec: self.exec(),
-            ..TransientOptions::default()
-        }
-    }
-
-    /// A transient solver on the given chain, with this analysis' worker pool.
-    fn transient_solver<'c>(&self, chain: &'c ctmc::Ctmc) -> TransientSolver<'c> {
-        TransientSolver::with_options(chain, self.transient_options())
-    }
-
-    /// The operational mask matching [`Analysis::solver_chain`].
-    fn solver_operational_mask(&self) -> &[bool] {
-        match self.compiled.lumped() {
-            Some(lumped) => lumped.operational_mask(),
-            None => self.compiled.operational_mask(),
-        }
-    }
-
-    /// The down mask matching [`Analysis::solver_chain`].
-    fn solver_down_mask(&self) -> Vec<bool> {
-        match self.compiled.lumped() {
-            Some(lumped) => lumped.down_mask(),
-            None => self.compiled.down_mask(),
-        }
-    }
-
-    /// The service-level mask matching [`Analysis::solver_chain`].
-    fn solver_service_at_least_mask(&self, threshold: f64) -> Vec<bool> {
-        match self.compiled.lumped() {
-            Some(lumped) => lumped.service_at_least_mask(threshold),
-            None => self.compiled.service_at_least_mask(threshold),
-        }
-    }
-
-    /// The cost rewards matching [`Analysis::solver_chain`].
-    fn solver_cost_rewards(&self) -> &ctmc::RewardStructure {
-        match self.compiled.lumped() {
-            Some(lumped) => lumped.cost_rewards(),
-            None => self.compiled.cost_rewards(),
-        }
     }
 
     /// Long-run probability that the system is fully operational
@@ -176,15 +133,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates steady-state solver errors.
     pub fn steady_state_availability(&self) -> Result<f64, ArcadeError> {
-        let pi = SteadyStateSolver::new(self.solver_chain())
-            .exec(self.exec())
-            .solve()?;
-        Ok(pi
-            .iter()
-            .zip(self.solver_operational_mask().iter())
-            .filter(|(_, &op)| op)
-            .map(|(p, _)| p)
-            .sum())
+        self.quotient.availability(self.exec())
     }
 
     /// Probability that the system is fully operational at time `t`.
@@ -193,15 +142,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates transient solver errors.
     pub fn point_availability(&self, t: f64) -> Result<f64, ArcadeError> {
-        let pi = self
-            .transient_solver(self.solver_chain())
-            .probabilities_at(t)?;
-        Ok(pi
-            .iter()
-            .zip(self.solver_operational_mask().iter())
-            .filter(|(_, &op)| op)
-            .map(|(p, _)| p)
-            .sum())
+        self.quotient.point_availability(t, self.exec())
     }
 
     /// Reliability: probability that the system has *never* left the fully
@@ -215,12 +156,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates transient solver errors.
     pub fn reliability(&self, t: f64) -> Result<f64, ArcadeError> {
-        let down = self.solver_down_mask();
-        let safe = vec![true; down.len()];
-        let unreliability = self
-            .transient_solver(self.solver_chain())
-            .bounded_until(&safe, &down, t)?;
-        Ok(1.0 - unreliability)
+        self.reliability_curve(&[t]).map(|curve| curve[0].1)
     }
 
     /// Reliability at several mission times, batched over a single
@@ -231,16 +167,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates transient solver errors.
     pub fn reliability_curve(&self, times: &[f64]) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        let down = self.solver_down_mask();
-        let safe = vec![true; down.len()];
-        let unreliabilities = self
-            .transient_solver(self.solver_chain())
-            .bounded_until_many(&safe, &down, times)?;
-        Ok(times
-            .iter()
-            .zip(unreliabilities)
-            .map(|(&t, u)| (t, 1.0 - u))
-            .collect())
+        self.quotient.reliability_curve(times, self.exec())
     }
 
     /// Survivability: probability of reaching a state with service level at
@@ -248,31 +175,25 @@ impl<'a> Analysis<'a> {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown disasters or numerics failures.
+    /// Rejects service levels outside `[0, 1]`, then disasters that name an
+    /// unknown component or lead to an unreachable state; propagates
+    /// numerics failures.
     pub fn survivability(
         &self,
         disaster: &Disaster,
         service_level: f64,
         t: f64,
     ) -> Result<f64, ArcadeError> {
-        if !(0.0..=1.0).contains(&service_level) {
-            return Err(ArcadeError::InvalidParameter {
-                reason: format!("service level must be in [0, 1], got {service_level}"),
-            });
-        }
-        let chain = self.solver_chain_after_disaster(disaster)?;
-        let goal = self.solver_service_at_least_mask(service_level);
-        let safe = vec![true; goal.len()];
-        Ok(self
-            .transient_solver(&chain)
-            .bounded_until(&safe, &goal, t)?)
+        self.survivability_curve(disaster, service_level, &[t])
+            .map(|curve| curve[0].1)
     }
 
     /// Survivability at several recovery deadlines (one curve of Figs. 4, 5,
     /// 8, 9), batched over a single uniformisation pass: the whole curve
     /// costs one Fox–Glynn window at the largest deadline instead of one per
     /// point, with values equal to per-point [`Analysis::survivability`]
-    /// calls exactly.
+    /// calls exactly. Any disaster over the model's components works,
+    /// whether or not the model names it.
     ///
     /// # Errors
     ///
@@ -283,18 +204,10 @@ impl<'a> Analysis<'a> {
         service_level: f64,
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        if !(0.0..=1.0).contains(&service_level) {
-            return Err(ArcadeError::InvalidParameter {
-                reason: format!("service level must be in [0, 1], got {service_level}"),
-            });
-        }
-        let chain = self.solver_chain_after_disaster(disaster)?;
-        let goal = self.solver_service_at_least_mask(service_level);
-        let safe = vec![true; goal.len()];
-        let values = self
-            .transient_solver(&chain)
-            .bounded_until_many(&safe, &goal, times)?;
-        Ok(times.iter().copied().zip(values).collect())
+        check_service_level(service_level)?;
+        let start = self.compiled.solver_start(Some(disaster))?;
+        self.quotient
+            .survivability_from(start, service_level, times, self.exec())
     }
 
     /// Expected instantaneous cost rate at the given times (Figs. 6 and 10),
@@ -302,17 +215,15 @@ impl<'a> Analysis<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates numerics errors and unknown-disaster errors.
+    /// Propagates numerics errors and disaster-resolution errors.
     pub fn instantaneous_cost_curve(
         &self,
         disaster: Option<&Disaster>,
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        let chain = self.chain_for(disaster)?;
-        let solver = RewardSolver::new(&chain, self.solver_cost_rewards())?
-            .with_options(self.transient_options());
-        let values = solver.instantaneous_series(times)?;
-        Ok(times.iter().copied().zip(values).collect())
+        let start = self.compiled.solver_start(disaster)?;
+        self.quotient
+            .instantaneous_cost_from(start, times, self.exec())
     }
 
     /// Expected accumulated cost up to the given time bounds (Figs. 7 and 11),
@@ -320,17 +231,15 @@ impl<'a> Analysis<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates numerics errors and unknown-disaster errors.
+    /// Propagates numerics errors and disaster-resolution errors.
     pub fn accumulated_cost_curve(
         &self,
         disaster: Option<&Disaster>,
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        let chain = self.chain_for(disaster)?;
-        let solver = RewardSolver::new(&chain, self.solver_cost_rewards())?
-            .with_options(self.transient_options());
-        let values = solver.accumulated_series(times)?;
-        Ok(times.iter().copied().zip(values).collect())
+        let start = self.compiled.solver_start(disaster)?;
+        self.quotient
+            .accumulated_cost_from(start, times, self.exec())
     }
 
     /// Long-run expected cost rate.
@@ -339,9 +248,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates numerics errors.
     pub fn long_run_cost_rate(&self) -> Result<f64, ArcadeError> {
-        let solver = RewardSolver::new(self.solver_chain(), self.solver_cost_rewards())?
-            .with_options(self.transient_options());
-        Ok(solver.long_run_rate()?)
+        self.quotient.long_run_cost_rate(self.exec())
     }
 
     /// The attainable service levels of the model's service tree (boundaries of
@@ -387,40 +294,18 @@ impl<'a> Analysis<'a> {
                     .map(MeasureResult::Curve)
             }
             Measure::InstantaneousCost { disaster, times } => {
-                let disaster = self.lookup_optional_disaster(disaster.as_deref())?;
+                let disaster = disaster.as_deref().map(|name| self.lookup_disaster(name));
+                let disaster = disaster.transpose()?;
                 self.instantaneous_cost_curve(disaster, times)
                     .map(MeasureResult::Curve)
             }
             Measure::AccumulatedCost { disaster, times } => {
-                let disaster = self.lookup_optional_disaster(disaster.as_deref())?;
+                let disaster = disaster.as_deref().map(|name| self.lookup_disaster(name));
+                let disaster = disaster.transpose()?;
                 self.accumulated_cost_curve(disaster, times)
                     .map(MeasureResult::Curve)
             }
             Measure::LongRunCostRate => self.long_run_cost_rate().map(MeasureResult::Scalar),
-        }
-    }
-
-    fn chain_for(&self, disaster: Option<&Disaster>) -> Result<ctmc::Ctmc, ArcadeError> {
-        match disaster {
-            Some(d) => self.solver_chain_after_disaster(d),
-            None => Ok(self.solver_chain().clone()),
-        }
-    }
-
-    /// The solver chain restarted in the state (or block) reached right after
-    /// `disaster` — the GOOD construction, on the quotient when available.
-    ///
-    /// Ordinary lumpability guarantees the aggregated process started from
-    /// any single state of a block is Markov with the quotient rates, so
-    /// starting the quotient in the disaster state's block is exact.
-    fn solver_chain_after_disaster(&self, disaster: &Disaster) -> Result<ctmc::Ctmc, ArcadeError> {
-        match self.compiled.lumped() {
-            Some(lumped) => {
-                let index = self.compiled.disaster_state_index(disaster)?;
-                let block = lumped.lumping().block_of(index);
-                Ok(lumped.quotient().with_initial_state(block)?)
-            }
-            None => self.compiled.chain_after_disaster(disaster),
         }
     }
 
@@ -430,16 +315,6 @@ impl<'a> Analysis<'a> {
             .ok_or_else(|| ArcadeError::UnsupportedMeasure {
                 reason: format!("unknown disaster `{name}`"),
             })
-    }
-
-    fn lookup_optional_disaster(
-        &self,
-        name: Option<&str>,
-    ) -> Result<Option<&Disaster>, ArcadeError> {
-        match name {
-            None => Ok(None),
-            Some(n) => self.lookup_disaster(n).map(Some),
-        }
     }
 }
 
@@ -569,6 +444,36 @@ mod tests {
             .unwrap();
         assert_eq!(acc[0].1, 0.0);
         assert!(acc[1].1 < acc[2].1);
+    }
+
+    #[test]
+    fn analysis_answers_disasters_the_model_does_not_name() {
+        let model = single_pump_model();
+        let analysis = Analysis::new(&model).unwrap();
+        let named = model.disaster("pump-down").unwrap();
+        let unnamed = Disaster::new("not-in-the-model", ["pump"]).unwrap();
+        assert!(model.disaster(unnamed.name()).is_none());
+        let times = [0.0, 0.5, 1.0, 3.0];
+        assert_eq!(
+            analysis.survivability_curve(&unnamed, 1.0, &times).unwrap(),
+            analysis.survivability_curve(named, 1.0, &times).unwrap()
+        );
+        assert_eq!(
+            analysis
+                .instantaneous_cost_curve(Some(&unnamed), &times)
+                .unwrap(),
+            analysis
+                .instantaneous_cost_curve(Some(named), &times)
+                .unwrap()
+        );
+        assert_eq!(
+            analysis
+                .accumulated_cost_curve(Some(&unnamed), &times)
+                .unwrap(),
+            analysis
+                .accumulated_cost_curve(Some(named), &times)
+                .unwrap()
+        );
     }
 
     #[test]

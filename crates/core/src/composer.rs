@@ -245,16 +245,6 @@ impl LumpedModel {
     pub fn operational_mask(&self) -> &[bool] {
         &self.operational
     }
-
-    /// Mask of blocks in which the system is *not* fully operational.
-    pub fn down_mask(&self) -> Vec<bool> {
-        self.operational.iter().map(|&b| !b).collect()
-    }
-
-    /// Mask of blocks whose service level is at least `threshold`.
-    pub fn service_at_least_mask(&self, threshold: f64) -> Vec<bool> {
-        service_at_least(&self.service_levels, threshold)
-    }
 }
 
 /// Mask of entries whose service level is at least `threshold`, with the
@@ -496,6 +486,25 @@ impl CompiledModel {
                     disaster.name()
                 ),
             })
+    }
+
+    /// The state of the solver chain — the lumped quotient when the model
+    /// is lumped, the flat chain otherwise — reached right after `disaster`,
+    /// or the regular initial state for `None`. Ordinary lumpability makes
+    /// starting the quotient in the block of the flat state exact.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledModel::disaster_state_index`].
+    pub(crate) fn solver_start(&self, disaster: Option<&Disaster>) -> Result<usize, ArcadeError> {
+        let flat = match disaster {
+            Some(disaster) => self.disaster_state_index(disaster)?,
+            None => self.initial_index,
+        };
+        Ok(match &self.lumped {
+            Some(lumped) => lumped.lumping().block_of(flat),
+            None => flat,
+        })
     }
 
     /// Returns a copy of the chain whose initial distribution is the point mass

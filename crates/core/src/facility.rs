@@ -42,17 +42,19 @@
 //! * instantaneous and accumulated cost are additive rewards, so they are
 //!   sums of per-group curves.
 //!
-//! [`FacilityAnalysis`] answers all of them from per-group solves. The joint
-//! chain (the quotient product, orbit-folded when groups are
-//! interchangeable) is built only for the joint-chain methods and
-//! [`FacilityAnalysis::compiled_quotient`], which serve as oracles and feed
-//! the daemon.
+//! [`FacilityAnalysis`] answers all of them from per-group solves: each
+//! group holds one [`CompiledQuotient`] with its any-line-operational mask,
+//! best line service level, cost rewards and its share of every facility
+//! disaster, resolved when the analysis is built, and the facility curves
+//! fold the group artifacts' curves. The joint chain (the quotient product,
+//! orbit-folded when groups are interchangeable) is built only for the
+//! joint-chain methods and [`FacilityAnalysis::compiled_quotient`], which
+//! serve as oracles and feed the daemon.
 //!
-//! Within a group the solvers run on the group's exact quotient whenever the
+//! A group artifact runs on the group's exact quotient whenever the
 //! per-line masks are unions of blocks (always true for singleton groups,
-//! whose quotient respects the line's own labels); otherwise the group falls
-//! back to its flat chain — correctness never depends on the quotient being
-//! usable.
+//! whose quotient respects the line's own labels); otherwise on the flat
+//! group chain — correctness never depends on the quotient being usable.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Add;
@@ -69,7 +71,7 @@ use crate::disaster::Disaster;
 use crate::error::ArcadeError;
 use crate::measures::{FacilityMeasure, MeasureResult};
 use crate::model::ArcadeModel;
-use crate::quotient::CompiledQuotient;
+use crate::quotient::{check_service_level, CompiledQuotient, QuotientParts};
 use crate::repair::{RepairStrategy, RepairUnit};
 use crate::spare::SpareManagementUnit;
 use fault_tree::{StructureNode, SystemStructure};
@@ -529,77 +531,21 @@ fn merged_group_model(
     builder.build()
 }
 
-/// Data of one compiled composition group, with its per-line metadata mapped
-/// onto the chain the solvers actually run on.
+/// One compiled composition group: its compiled model, the per-line
+/// operational masks and the solver-ready artifact every group measure runs
+/// on.
 #[derive(Debug, Clone)]
 struct CompiledGroup {
     /// Facility line indices of the members.
     lines: Vec<usize>,
-    /// Display name (`line1` or `line1+line2`).
-    label: String,
     compiled: CompiledModel,
-    /// Whether the solvers run on the group's exact quotient (true whenever
-    /// every per-line mask projects to blocks) or on the flat group chain.
-    use_quotient: bool,
-    /// Per member line: "line fully operational" on the solver chain.
+    /// Per member line: "line fully operational" on the artifact's chain.
     line_operational: Vec<Vec<bool>>,
-    /// Per member line: the line's service level on the solver chain.
-    line_service: Vec<Vec<f64>>,
-}
-
-impl CompiledGroup {
-    /// The chain this group's measures are solved on.
-    fn solver_chain(&self) -> &Ctmc {
-        match (self.use_quotient, self.compiled.lumped()) {
-            (true, Some(lumped)) => lumped.quotient(),
-            _ => self.compiled.chain(),
-        }
-    }
-
-    /// The cost rewards matching [`CompiledGroup::solver_chain`].
-    fn solver_cost_rewards(&self) -> &RewardStructure {
-        match (self.use_quotient, self.compiled.lumped()) {
-            (true, Some(lumped)) => lumped.cost_rewards(),
-            _ => self.compiled.cost_rewards(),
-        }
-    }
-
-    /// Mask of solver-chain states in which at least one member line is
-    /// fully operational.
-    fn any_line_operational(&self) -> Vec<bool> {
-        let mut out = vec![false; self.solver_chain().num_states()];
-        for mask in &self.line_operational {
-            for (slot, &up) in out.iter_mut().zip(mask.iter()) {
-                *slot |= up;
-            }
-        }
-        out
-    }
-
-    /// The best service level any member line delivers, per solver-chain
-    /// state.
-    fn service_levels(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.solver_chain().num_states()];
-        for levels in &self.line_service {
-            for (slot, &level) in out.iter_mut().zip(levels) {
-                *slot = slot.max(level);
-            }
-        }
-        out
-    }
-
-    /// The solver-chain state the group occupies right after `disaster`
-    /// (its regular initial state when the disaster does not touch it).
-    fn start_state(&self, disaster: Option<&Disaster>) -> Result<usize, ArcadeError> {
-        let flat = match disaster {
-            Some(disaster) => self.compiled.disaster_state_index(disaster)?,
-            None => self.compiled.initial_index(),
-        };
-        Ok(match (self.use_quotient, self.compiled.lumped()) {
-            (true, Some(lumped)) => lumped.lumping().block_of(flat),
-            _ => flat,
-        })
-    }
+    /// The group's exact quotient when every member line's masks project
+    /// onto its blocks, the flat group chain otherwise; with the
+    /// any-line-operational mask, the best line service level, the cost
+    /// rewards and the group's share of every facility disaster.
+    quotient: CompiledQuotient,
 }
 
 /// Per-line and product-level state-space statistics of a compiled facility
@@ -729,12 +675,6 @@ pub struct FacilityAnalysis<'a> {
     /// first use and shared by all steady-state measures (the chains are
     /// immutable, so one solve serves them all).
     stationaries: std::sync::OnceLock<Vec<Vec<f64>>>,
-    /// One solver-ready artifact per group, built on first use: the group's
-    /// solver chain with its any-line-operational mask, best line service
-    /// level, cost rewards and the group's share of every facility
-    /// disaster. The survivability and cost curves combine curves solved on
-    /// these.
-    group_quotients: std::sync::OnceLock<Vec<CompiledQuotient>>,
     /// The joint chain, built on first use and shared by every joint
     /// measure: the quotient product, its sorted-tuple orbit fold (when
     /// groups are interchangeable), the materialised chain and the facility
@@ -765,16 +705,18 @@ impl<'a> FacilityAnalysis<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates composition errors.
+    /// See [`FacilityAnalysis::with_options`].
     pub fn new(model: &'a FacilityModel) -> Result<Self, ArcadeError> {
         Self::with_options(model, ComposerOptions::default())
     }
 
-    /// Compiles every composition group with explicit options.
+    /// Compiles every composition group with explicit options and resolves
+    /// each group's start state after every facility disaster.
     ///
     /// # Errors
     ///
-    /// Propagates composition errors.
+    /// Propagates composition errors, and rejects a facility disaster whose
+    /// state is not reachable in some group.
     pub fn with_options(
         model: &'a FacilityModel,
         options: ComposerOptions,
@@ -802,42 +744,62 @@ impl<'a> FacilityAnalysis<'a> {
                 (compiled, masks)
             };
 
-            // Map the per-line metadata onto the solver chain: the quotient
-            // when every mask is a union of blocks, the flat chain otherwise.
-            let mut use_quotient = false;
-            let mut line_operational: Vec<Vec<bool>> = Vec::new();
-            let mut line_service: Vec<Vec<f64>> = Vec::new();
-            if let Some(lumped) = compiled.lumped() {
-                let projected: Result<(Vec<_>, Vec<_>), _> = line_masks
+            // The solver chain: the quotient when every per-line mask is a
+            // union of blocks, the flat chain otherwise.
+            let projected = compiled.lumped().and_then(|lumped| {
+                let lumping = lumped.lumping();
+                line_masks
                     .iter()
                     .map(|(mask, service)| {
-                        Ok::<_, arcade_lumping::LumpError>((
-                            lumped.lumping().project_mask(mask)?,
-                            lumped.lumping().project_values(service)?,
+                        Ok((
+                            lumping.project_mask(mask)?,
+                            lumping.project_values(service)?,
                         ))
                     })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|pairs| pairs.into_iter().unzip());
-                if let Ok((masks, services)) = projected {
-                    use_quotient = true;
-                    line_operational = masks;
-                    line_service = services;
+                    .collect::<Result<Vec<LineMetadata>, arcade_lumping::LumpError>>()
+                    .ok()
+                    .map(|masks| (lumped, masks))
+            });
+            let start = |share: Option<&Disaster>| match (&projected, share) {
+                (Some(_), _) => compiled.solver_start(share),
+                (None, Some(share)) => compiled.disaster_state_index(share),
+                (None, None) => Ok(compiled.initial_index()),
+            };
+            let mut disaster_starts = BTreeMap::new();
+            for disaster in model.disasters() {
+                let share = group_disaster(model, &group.lines, disaster)?;
+                disaster_starts.insert(disaster.name().to_string(), start(share.as_ref())?);
+            }
+            let initial = start(None)?;
+            let (chain, cost, line_masks) = match projected {
+                Some((lumped, masks)) => (lumped.quotient(), lumped.cost_rewards(), masks),
+                None => (compiled.chain(), compiled.cost_rewards(), line_masks),
+            };
+            let mut any_line_operational = vec![false; chain.num_states()];
+            let mut best_service = vec![0.0f64; chain.num_states()];
+            for (mask, service) in &line_masks {
+                for (slot, &up) in any_line_operational.iter_mut().zip(mask) {
+                    *slot |= up;
+                }
+                for (slot, &level) in best_service.iter_mut().zip(service) {
+                    *slot = slot.max(level);
                 }
             }
-            if !use_quotient {
-                for (mask, service) in &line_masks {
-                    line_operational.push(mask.clone());
-                    line_service.push(service.clone());
-                }
-            }
-
+            let quotient = CompiledQuotient::from_parts(QuotientParts {
+                name: label,
+                chain: chain.clone(),
+                operational: any_line_operational,
+                service: best_service,
+                cost: cost.clone(),
+                initial,
+                disaster_starts,
+                source_states: compiled.chain().num_states(),
+            })?;
             groups.push(CompiledGroup {
                 lines: group.lines.clone(),
-                label,
                 compiled,
-                use_quotient,
-                line_operational,
-                line_service,
+                line_operational: line_masks.into_iter().map(|(mask, _)| mask).collect(),
+                quotient,
             });
         }
         Ok(FacilityAnalysis {
@@ -845,7 +807,6 @@ impl<'a> FacilityAnalysis<'a> {
             groups,
             options,
             stationaries: std::sync::OnceLock::new(),
-            group_quotients: std::sync::OnceLock::new(),
             joint: std::sync::OnceLock::new(),
             reduction: std::sync::OnceLock::new(),
         })
@@ -863,12 +824,6 @@ impl<'a> FacilityAnalysis<'a> {
 
     fn exec(&self) -> ExecOptions {
         self.options.exec
-    }
-
-    /// The compiled chain of one composition group (the group of `line` when
-    /// queried by line index via [`FacilityAnalysis::group_of_line`]).
-    pub fn group_chain(&self, group: usize) -> &Ctmc {
-        self.groups[group].solver_chain()
     }
 
     /// The group index a line landed in.
@@ -896,16 +851,18 @@ impl<'a> FacilityAnalysis<'a> {
                 }
             })
             .collect();
-        let joint_blocks = self.groups.iter().fold(1usize, |acc, g| {
-            acc.saturating_mul(g.solver_chain().num_states())
-        });
+        let joint_blocks = self
+            .groups
+            .iter()
+            .fold(1usize, |acc, g| acc.saturating_mul(g.quotient.num_states()));
         let joint_transitions = self
             .groups
             .iter()
             .map(|g| {
-                g.solver_chain()
+                g.quotient
+                    .chain()
                     .num_transitions()
-                    .saturating_mul(joint_blocks / g.solver_chain().num_states().max(1))
+                    .saturating_mul(joint_blocks / g.quotient.num_states().max(1))
             })
             .fold(0usize, usize::saturating_add);
         FacilityStats {
@@ -921,11 +878,7 @@ impl<'a> FacilityAnalysis<'a> {
     /// The interchangeability classes of the per-group solver chains, or
     /// `None` for a degenerate (empty) facility.
     fn factor_classes(&self) -> Option<FactorClasses> {
-        let chains: Vec<&Ctmc> = self
-            .groups
-            .iter()
-            .map(CompiledGroup::solver_chain)
-            .collect();
+        let chains: Vec<&Ctmc> = self.groups.iter().map(|g| g.quotient.chain()).collect();
         FactorClasses::new(
             group_identical_chains(&chains),
             chains.iter().map(|chain| chain.num_states()).collect(),
@@ -944,7 +897,7 @@ impl<'a> FacilityAnalysis<'a> {
         Ok(QuotientProduct::from_chains(
             self.groups
                 .iter()
-                .map(|g| (g.label.clone(), g.solver_chain().clone()))
+                .map(|g| (g.quotient.name().to_string(), g.quotient.chain().clone()))
                 .collect(),
         )?)
     }
@@ -957,46 +910,9 @@ impl<'a> FacilityAnalysis<'a> {
         let computed = self
             .groups
             .iter()
-            .map(|g| {
-                Ok(SteadyStateSolver::new(g.solver_chain())
-                    .exec(self.exec())
-                    .solve()?)
-            })
+            .map(|g| Ok(g.quotient.stationary_counted(None, self.exec())?.0))
             .collect::<Result<Vec<_>, ArcadeError>>()?;
         Ok(self.stationaries.get_or_init(|| computed))
-    }
-
-    /// The solver-ready artifact of every group (see the `group_quotients`
-    /// field), built once.
-    fn group_quotients(&self) -> Result<&[CompiledQuotient], ArcadeError> {
-        if let Some(cached) = self.group_quotients.get() {
-            return Ok(cached);
-        }
-        let built = self
-            .groups
-            .iter()
-            .map(|group| {
-                let mut disaster_starts = BTreeMap::new();
-                for disaster in self.model.disasters() {
-                    let share = self.group_disaster(group, disaster)?;
-                    disaster_starts.insert(
-                        disaster.name().to_string(),
-                        group.start_state(share.as_ref())?,
-                    );
-                }
-                CompiledQuotient::from_parts(crate::quotient::QuotientParts {
-                    name: group.label.clone(),
-                    chain: group.solver_chain().clone(),
-                    operational: group.any_line_operational(),
-                    service: group.service_levels(),
-                    cost: group.solver_cost_rewards().clone(),
-                    initial: group.start_state(None)?,
-                    disaster_starts,
-                    source_states: group.compiled.chain().num_states(),
-                })
-            })
-            .collect::<Result<Vec<_>, ArcadeError>>()?;
-        Ok(self.group_quotients.get_or_init(|| built))
     }
 
     /// Steady-state availability of one line: the long-run probability that
@@ -1039,10 +955,9 @@ impl<'a> FacilityAnalysis<'a> {
     pub fn steady_state_availability(&self) -> Result<f64, ArcadeError> {
         let mut none_up_product = 1.0;
         for (group, pi) in self.groups.iter().zip(self.group_stationaries()?.iter()) {
-            let any_up = group.any_line_operational();
             let none_up: f64 = pi
                 .iter()
-                .zip(any_up.iter())
+                .zip(group.quotient.operational_mask())
                 .filter(|(_, &up)| !up)
                 .map(|(p, _)| p)
                 .sum();
@@ -1132,7 +1047,7 @@ impl<'a> FacilityAnalysis<'a> {
         for disaster in self.model.disasters() {
             disaster_starts.insert(disaster.name().to_string(), start_of(Some(disaster))?);
         }
-        let quotient = CompiledQuotient::from_parts(crate::quotient::QuotientParts {
+        let quotient = CompiledQuotient::from_parts(QuotientParts {
             name: self.model.name().to_string(),
             chain,
             operational: any_up,
@@ -1349,7 +1264,7 @@ impl<'a> FacilityAnalysis<'a> {
             // stands in for the whole class.
             let representative = members[0];
             let pi = &stationaries[representative];
-            let any_up = self.groups[representative].any_line_operational();
+            let any_up = self.groups[representative].quotient.operational_mask();
             let mut class_mass = 0.0f64;
             let mut class_none_up = 0.0f64;
             let visited = for_each_multiset(members.len(), pi.len(), |tuple, orbit_size| {
@@ -1378,7 +1293,7 @@ impl<'a> FacilityAnalysis<'a> {
     ) -> Result<Vec<bool>, ArcadeError> {
         let mut out = vec![false; product.num_states()];
         for (index, group) in self.groups.iter().enumerate() {
-            let expanded = product.expand_mask(index, &group.any_line_operational())?;
+            let expanded = product.expand_mask(index, group.quotient.operational_mask())?;
             for (slot, up) in out.iter_mut().zip(expanded) {
                 *slot |= up;
             }
@@ -1395,7 +1310,7 @@ impl<'a> FacilityAnalysis<'a> {
     ) -> Result<Vec<bool>, ArcadeError> {
         let mut out = vec![false; product.num_states()];
         for (index, group) in self.groups.iter().enumerate() {
-            let mask = service_at_least(&group.service_levels(), threshold);
+            let mask = service_at_least(group.quotient.service_levels(), threshold);
             for (slot, up) in out.iter_mut().zip(product.expand_mask(index, &mask)?) {
                 *slot |= up;
             }
@@ -1410,38 +1325,12 @@ impl<'a> FacilityAnalysis<'a> {
     fn joint_service_levels(&self, product: &QuotientProduct) -> Result<Vec<f64>, ArcadeError> {
         let mut out = vec![0.0f64; product.num_states()];
         for (index, group) in self.groups.iter().enumerate() {
-            let expanded = product.expand_values(index, &group.service_levels())?;
+            let expanded = product.expand_values(index, group.quotient.service_levels())?;
             for (slot, level) in out.iter_mut().zip(expanded) {
                 *slot = slot.max(level);
             }
         }
         Ok(out)
-    }
-
-    /// The per-group disaster restriction of a facility disaster, in the
-    /// group's own component namespace.
-    fn group_disaster(
-        &self,
-        group: &CompiledGroup,
-        disaster: &FacilityDisaster,
-    ) -> Result<Option<Disaster>, ArcadeError> {
-        let mut components = Vec::new();
-        for &line_index in &group.lines {
-            let line = &self.model.lines()[line_index];
-            for (disaster_line, component) in disaster.components() {
-                if disaster_line == &line.name {
-                    components.push(if group.lines.len() > 1 {
-                        qualified(&line.name, component)
-                    } else {
-                        component.clone()
-                    });
-                }
-            }
-        }
-        if components.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(Disaster::new(disaster.name(), components)?))
     }
 
     /// The joint product index of the state right after `disaster` (every
@@ -1452,14 +1341,11 @@ impl<'a> FacilityAnalysis<'a> {
         product: &QuotientProduct,
         disaster: Option<&FacilityDisaster>,
     ) -> Result<usize, ArcadeError> {
-        let mut tuple = Vec::with_capacity(self.groups.len());
-        for group in &self.groups {
-            let restricted = match disaster {
-                Some(disaster) => self.group_disaster(group, disaster)?,
-                None => None,
-            };
-            tuple.push(group.start_state(restricted.as_ref())?);
-        }
+        let tuple = self
+            .groups
+            .iter()
+            .map(|g| g.quotient.start_for(disaster.map(FacilityDisaster::name)))
+            .collect::<Result<Vec<_>, _>>()?;
         product
             .index_of(&tuple)
             .ok_or_else(|| ArcadeError::InvalidDisaster {
@@ -1499,11 +1385,7 @@ impl<'a> FacilityAnalysis<'a> {
         service_level: f64,
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        if !(0.0..=1.0).contains(&service_level) {
-            return Err(ArcadeError::InvalidParameter {
-                reason: format!("service level must be in [0, 1], got {service_level}"),
-            });
-        }
+        check_service_level(service_level)?;
         let disaster = self.lookup_disaster(disaster)?;
         self.fold_group_curves(times, either_recovered, |quotient| {
             quotient.survivability_curve(disaster.name(), service_level, times, self.exec())
@@ -1526,11 +1408,7 @@ impl<'a> FacilityAnalysis<'a> {
         service_level: f64,
         times: &[f64],
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        if !(0.0..=1.0).contains(&service_level) {
-            return Err(ArcadeError::InvalidParameter {
-                reason: format!("service level must be in [0, 1], got {service_level}"),
-            });
-        }
+        check_service_level(service_level)?;
         let disaster = self.lookup_disaster(disaster)?;
         let product = self.quotient_product()?;
         let start = self.start_joint_index(&product, Some(disaster))?;
@@ -1612,8 +1490,8 @@ impl<'a> FacilityAnalysis<'a> {
         group_curve: impl Fn(&CompiledQuotient) -> Result<Vec<(f64, f64)>, ArcadeError>,
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
         let mut folded = vec![0.0f64; times.len()];
-        for quotient in self.group_quotients()? {
-            for (slot, (_, value)) in folded.iter_mut().zip(group_curve(quotient)?) {
+        for group in &self.groups {
+            for (slot, (_, value)) in folded.iter_mut().zip(group_curve(&group.quotient)?) {
                 *slot = combine(*slot, value);
             }
         }
@@ -1664,7 +1542,7 @@ impl<'a> FacilityAnalysis<'a> {
         let per_group: Vec<Option<&RewardStructure>> = self
             .groups
             .iter()
-            .map(|g| Some(g.solver_cost_rewards()))
+            .map(|g| Some(g.quotient.cost_rewards()))
             .collect();
         Ok(product.sum_rewards("facility_repair_cost", &per_group)?)
     }
@@ -1676,6 +1554,33 @@ impl<'a> FacilityAnalysis<'a> {
 /// and it returns exactly 1 when `b` is 1.
 fn either_recovered(a: f64, b: f64) -> f64 {
     a + b * (1.0 - a)
+}
+
+/// The share of a facility disaster that falls on the composition group of
+/// `lines`, in the group's own component namespace; `None` when the disaster
+/// spares the group.
+fn group_disaster(
+    model: &FacilityModel,
+    lines: &[usize],
+    disaster: &FacilityDisaster,
+) -> Result<Option<Disaster>, ArcadeError> {
+    let mut components = Vec::new();
+    for &line_index in lines {
+        let line = &model.lines()[line_index];
+        for (disaster_line, component) in disaster.components() {
+            if disaster_line == &line.name {
+                components.push(if lines.len() > 1 {
+                    qualified(&line.name, component)
+                } else {
+                    component.clone()
+                });
+            }
+        }
+    }
+    if components.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some(Disaster::new(disaster.name(), components)?))
 }
 
 /// A line's fully-operational mask and per-state service levels on a group

@@ -26,6 +26,11 @@
 //!   is defined by the quantitative service tree,
 //! * instantaneous and accumulated repair cost (Markov reward measures).
 //!
+//! Every measure is solved by one type, the solver-ready
+//! [`CompiledQuotient`] of a chain. [`Analysis`] (one model) and
+//! [`FacilityAnalysis`] (several lines, one artifact per composition group)
+//! are front ends over it.
+//!
 //! # Quick start
 //!
 //! ```

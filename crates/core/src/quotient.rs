@@ -1,16 +1,23 @@
-//! The compile/solve split: an immutable, solver-ready quotient artifact.
+//! The compile/solve split: an immutable, solver-ready quotient artifact,
+//! and the one place where a solver chain becomes a measure.
 //!
-//! [`crate::Analysis`] and [`crate::FacilityAnalysis`] fuse two very different
-//! stages: *compilation* (explore the state space, lump it, build the
-//! product/orbit fold) and *solving* (steady-state and transient numerics on
-//! the resulting chain). A [`CompiledQuotient`] is the boundary object between
-//! them — everything the solving stage needs and nothing the compilation
-//! stage used to get there:
+//! Compilation (explore the state space, lump it, build the product/orbit
+//! fold) and solving (steady-state and transient numerics) meet in a
+//! [`CompiledQuotient`]. It holds everything the solving stage needs and
+//! nothing the compilation stage used to get there:
 //!
 //! * the (lumped/orbit) chain the solvers run on,
 //! * the operational mask, per-state service levels and cost rewards on it,
 //! * the solver-chain start state of every named disaster (the GOOD model),
 //!   precomputed so no state-space metadata is needed at query time.
+//!
+//! Every measure of the crate is solved by a method of this type.
+//! [`crate::Analysis`] keeps one disaster-free artifact of its compiled
+//! model and resolves any [`crate::Disaster`] to a start state of it;
+//! [`crate::FacilityAnalysis`] keeps one artifact per composition group and
+//! combines their curves; the daemon serves artifacts directly. The choice
+//! of chain, masks and start state the solvers see is made here and in
+//! the composer's solver-start helper only.
 //!
 //! The artifact is plain data: cloning it is cheap relative to compilation,
 //! it is `Send + Sync`, and two artifacts can be compared exactly
@@ -22,13 +29,14 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use arcade_symmetry::{chain_presentation_code, chains_identical};
-use arcade_telemetry::Recorder;
+use arcade_telemetry::{Recorder, Span};
 use ctmc::{
     Ctmc, ExecOptions, RewardSolver, RewardStructure, SteadyStateSolver, TransientOptions,
     TransientSolver,
 };
 
 use crate::composer::{service_at_least, CompiledModel, ComposerOptions};
+use crate::disaster::Disaster;
 use crate::error::ArcadeError;
 use crate::model::ArcadeModel;
 
@@ -154,14 +162,24 @@ impl CompiledQuotient {
     ///
     /// Propagates disaster-resolution errors.
     pub fn of_compiled(model: &ArcadeModel, compiled: &CompiledModel) -> Result<Self, ArcadeError> {
-        let block_of = |flat: usize| match compiled.lumped() {
-            Some(lumped) => lumped.lumping().block_of(flat),
-            None => flat,
-        };
+        Self::of_solver_chain(model.name(), compiled, model.disasters())
+    }
+
+    /// The artifact of `compiled`'s own solver chain — the lumped quotient
+    /// when the model is lumped, the flat chain otherwise — with the start
+    /// state of every disaster in `disasters`. Without disasters it cannot
+    /// fail: the metadata comes from the same compiled model as the chain.
+    pub(crate) fn of_solver_chain(
+        name: &str,
+        compiled: &CompiledModel,
+        disasters: &[Disaster],
+    ) -> Result<Self, ArcadeError> {
         let mut disaster_starts = BTreeMap::new();
-        for disaster in model.disasters() {
-            let flat = compiled.disaster_state_index(disaster)?;
-            disaster_starts.insert(disaster.name().to_string(), block_of(flat));
+        for disaster in disasters {
+            disaster_starts.insert(
+                disaster.name().to_string(),
+                compiled.solver_start(Some(disaster))?,
+            );
         }
         let (chain, operational, service, cost) = match compiled.lumped() {
             Some(lumped) => (
@@ -178,12 +196,12 @@ impl CompiledQuotient {
             ),
         };
         Self::from_parts(QuotientParts {
-            name: model.name().to_string(),
+            name: name.to_string(),
             chain,
             operational,
             service,
             cost,
-            initial: block_of(compiled.initial_index()),
+            initial: compiled.solver_start(None)?,
             disaster_starts,
             source_states: compiled.chain().num_states(),
         })
@@ -328,10 +346,37 @@ impl CompiledQuotient {
     ///
     /// Propagates solver errors.
     pub fn availability(&self, exec: ExecOptions) -> Result<f64, ArcadeError> {
-        let mut span = Recorder::current().span("measure");
-        span.count("states", self.chain.num_states() as u64);
+        let _span = self.measure_span();
         let (pi, _) = self.stationary_counted(None, exec)?;
         Ok(self.availability_of(&pi))
+    }
+
+    /// Point availability: the probability of being fully operational at
+    /// time `t` after the no-disaster start.
+    pub(crate) fn point_availability(&self, t: f64, exec: ExecOptions) -> Result<f64, ArcadeError> {
+        let _span = self.measure_span();
+        let pi = TransientSolver::with_options(&self.chain, transient_options(exec))
+            .probabilities_at(t)?;
+        Ok(self.availability_of(&pi))
+    }
+
+    /// Reliability at each mission time after the no-disaster start: one
+    /// minus the probability of having reached a state that is not fully
+    /// operational, with every state safe, batched over one uniformisation
+    /// pass.
+    pub(crate) fn reliability_curve(
+        &self,
+        times: &[f64],
+        exec: ExecOptions,
+    ) -> Result<Vec<(f64, f64)>, ArcadeError> {
+        let mut span = self.measure_span();
+        span.count("points", times.len() as u64);
+        let down: Vec<bool> = self.operational.iter().map(|&up| !up).collect();
+        let safe = vec![true; down.len()];
+        let unreliabilities = TransientSolver::with_options(&self.chain, transient_options(exec))
+            .bounded_until_many(&safe, &down, times)?;
+        let reliabilities = unreliabilities.into_iter().map(|u| 1.0 - u);
+        Ok(times.iter().copied().zip(reliabilities).collect())
     }
 
     /// Survivability after `disaster`: the probability of reaching a service
@@ -350,15 +395,23 @@ impl CompiledQuotient {
         times: &[f64],
         exec: ExecOptions,
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        if !(0.0..=1.0).contains(&service_level) {
-            return Err(ArcadeError::InvalidParameter {
-                reason: format!("service level must be in [0, 1], got {service_level}"),
-            });
-        }
-        let mut span = Recorder::current().span("measure");
-        span.count("states", self.chain.num_states() as u64);
-        span.count("points", times.len() as u64);
+        check_service_level(service_level)?;
         let start = self.start_for(Some(disaster))?;
+        self.survivability_from(start, service_level, times, exec)
+    }
+
+    /// [`CompiledQuotient::survivability_curve`] from the solver-chain state
+    /// `start`.
+    pub(crate) fn survivability_from(
+        &self,
+        start: usize,
+        service_level: f64,
+        times: &[f64],
+        exec: ExecOptions,
+    ) -> Result<Vec<(f64, f64)>, ArcadeError> {
+        check_service_level(service_level)?;
+        let mut span = self.measure_span();
+        span.count("points", times.len() as u64);
         let chain = self.chain.with_initial_state(start)?;
         let goal = service_at_least(&self.service, service_level);
         let safe = vec![true; goal.len()];
@@ -379,12 +432,23 @@ impl CompiledQuotient {
         times: &[f64],
         exec: ExecOptions,
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        let mut span = Recorder::current().span("measure");
-        span.count("states", self.chain.num_states() as u64);
+        self.instantaneous_cost_from(self.start_for(disaster)?, times, exec)
+    }
+
+    /// [`CompiledQuotient::instantaneous_cost_curve`] from the solver-chain
+    /// state `start`.
+    pub(crate) fn instantaneous_cost_from(
+        &self,
+        start: usize,
+        times: &[f64],
+        exec: ExecOptions,
+    ) -> Result<Vec<(f64, f64)>, ArcadeError> {
+        let mut span = self.measure_span();
         span.count("points", times.len() as u64);
-        let (chain, rewards) = self.cost_setup(disaster)?;
-        let solver = RewardSolver::new(&chain, rewards)?.with_options(transient_options(exec));
-        let values = solver.instantaneous_series(times)?;
+        let chain = self.chain.with_initial_state(start)?;
+        let values = RewardSolver::new(&chain, &self.cost)?
+            .with_options(transient_options(exec))
+            .instantaneous_series(times)?;
         Ok(times.iter().copied().zip(values).collect())
     }
 
@@ -400,21 +464,51 @@ impl CompiledQuotient {
         times: &[f64],
         exec: ExecOptions,
     ) -> Result<Vec<(f64, f64)>, ArcadeError> {
-        let mut span = Recorder::current().span("measure");
-        span.count("states", self.chain.num_states() as u64);
+        self.accumulated_cost_from(self.start_for(disaster)?, times, exec)
+    }
+
+    /// [`CompiledQuotient::accumulated_cost_curve`] from the solver-chain
+    /// state `start`.
+    pub(crate) fn accumulated_cost_from(
+        &self,
+        start: usize,
+        times: &[f64],
+        exec: ExecOptions,
+    ) -> Result<Vec<(f64, f64)>, ArcadeError> {
+        let mut span = self.measure_span();
         span.count("points", times.len() as u64);
-        let (chain, rewards) = self.cost_setup(disaster)?;
-        let solver = RewardSolver::new(&chain, rewards)?.with_options(transient_options(exec));
-        let values = solver.accumulated_series(times)?;
+        let chain = self.chain.with_initial_state(start)?;
+        let values = RewardSolver::new(&chain, &self.cost)?
+            .with_options(transient_options(exec))
+            .accumulated_series(times)?;
         Ok(times.iter().copied().zip(values).collect())
     }
 
-    /// The restarted chain plus the cost rewards — the shared setup of both
-    /// cost curves.
-    fn cost_setup(&self, disaster: Option<&str>) -> Result<(Ctmc, &RewardStructure), ArcadeError> {
-        let start = self.start_for(disaster)?;
-        let chain = self.chain.with_initial_state(start)?;
-        Ok((chain, &self.cost))
+    /// The long-run expected cost rate.
+    pub(crate) fn long_run_cost_rate(&self, exec: ExecOptions) -> Result<f64, ArcadeError> {
+        let _span = self.measure_span();
+        Ok(RewardSolver::new(&self.chain, &self.cost)?
+            .with_options(transient_options(exec))
+            .long_run_rate()?)
+    }
+
+    /// Opens the `measure` span of one query on this artifact.
+    fn measure_span(&self) -> Span {
+        let mut span = Recorder::current().span("measure");
+        span.count("states", self.chain.num_states() as u64);
+        span
+    }
+}
+
+/// Rejects a service level outside `[0, 1]` — the one check every
+/// survivability entry point shares.
+pub(crate) fn check_service_level(service_level: f64) -> Result<(), ArcadeError> {
+    if (0.0..=1.0).contains(&service_level) {
+        Ok(())
+    } else {
+        Err(ArcadeError::InvalidParameter {
+            reason: format!("service level must be in [0, 1], got {service_level}"),
+        })
     }
 }
 
@@ -438,9 +532,8 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 mod tests {
     use super::*;
     use crate::component::BasicComponent;
-    use crate::disaster::Disaster;
     use crate::repair::{RepairStrategy, RepairUnit};
-    use crate::Analysis;
+    use crate::{Analysis, LumpingMode};
     use fault_tree::{StructureNode, SystemStructure};
 
     fn pump_model(mttf: f64) -> ArcadeModel {
@@ -462,38 +555,125 @@ mod tests {
             .unwrap()
     }
 
+    /// Three pumps under one FCFS crew, two of them interchangeable, so the
+    /// lumped quotient is smaller than the flat chain.
+    fn pump_station_model() -> ArcadeModel {
+        let structure = SystemStructure::new(StructureNode::redundant(vec![
+            StructureNode::component("p1"),
+            StructureNode::component("p2"),
+            StructureNode::component("p3"),
+        ]));
+        let pump = |name: &str, mttf: f64| {
+            BasicComponent::from_mttf_mttr(name, mttf, 2.0)
+                .unwrap()
+                .with_failed_cost(3.0)
+        };
+        ArcadeModel::builder("station", structure)
+            .component(pump("p1", 100.0))
+            .component(pump("p2", 100.0))
+            .component(pump("p3", 40.0))
+            .repair_unit(
+                RepairUnit::new("ru", RepairStrategy::FirstComeFirstServe, 1)
+                    .unwrap()
+                    .responsible_for(["p1", "p2", "p3"])
+                    .with_idle_cost(1.0),
+            )
+            .disaster(Disaster::new("pump-down", ["p1", "p3"]).unwrap())
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn artifact_measures_match_the_analysis_front_end() {
-        let model = pump_model(500.0);
-        let exec = ExecOptions::default();
-        let quotient = CompiledQuotient::of_model(&model, ComposerOptions::default()).unwrap();
-        let analysis = Analysis::new(&model).unwrap();
-
-        let availability = quotient.availability(exec).unwrap();
-        assert_eq!(
-            availability.to_bits(),
-            analysis.steady_state_availability().unwrap().to_bits()
-        );
-
-        let disaster = model.disaster("pump-down").unwrap();
+        fn same(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
+        }
         let times = [0.0, 0.5, 1.0, 3.0];
-        let curve = quotient
-            .survivability_curve("pump-down", 1.0, &times, exec)
-            .unwrap();
-        let reference = analysis.survivability_curve(disaster, 1.0, &times).unwrap();
-        assert_eq!(curve, reference);
+        for model in [pump_model(500.0), pump_station_model()] {
+            for lumping in [LumpingMode::Compositional, LumpingMode::Disabled] {
+                let options = ComposerOptions {
+                    lumping,
+                    ..ComposerOptions::default()
+                };
+                let exec = options.exec;
+                let what = format!("{} under {lumping:?}", model.name());
+                let analysis = Analysis::with_options(&model, options).unwrap();
+                let quotient = analysis.compiled_quotient().unwrap();
+                let standalone = CompiledQuotient::of_model(&model, options).unwrap();
+                assert!(quotient.identical(&standalone), "{what}");
+                let disaster = model.disaster("pump-down").unwrap();
+                let bits = |value: Result<f64, ArcadeError>| value.unwrap().to_bits();
 
-        let inst = quotient
-            .instantaneous_cost_curve(Some("pump-down"), &times, exec)
-            .unwrap();
-        let inst_ref = analysis
-            .instantaneous_cost_curve(Some(disaster), &times)
-            .unwrap();
-        assert_eq!(inst, inst_ref);
-
-        let acc = quotient.accumulated_cost_curve(None, &times, exec).unwrap();
-        let acc_ref = analysis.accumulated_cost_curve(None, &times).unwrap();
-        assert_eq!(acc, acc_ref);
+                assert_eq!(
+                    bits(analysis.steady_state_availability()),
+                    bits(quotient.availability(exec)),
+                    "{what}: availability"
+                );
+                assert_eq!(
+                    bits(analysis.point_availability(2.0)),
+                    bits(quotient.point_availability(2.0, exec)),
+                    "{what}: point availability"
+                );
+                let reliability = quotient.reliability_curve(&times, exec).unwrap();
+                assert!(
+                    same(&analysis.reliability_curve(&times).unwrap(), &reliability),
+                    "{what}: reliability curve"
+                );
+                assert_eq!(
+                    bits(analysis.reliability(3.0)),
+                    reliability[3].1.to_bits(),
+                    "{what}: reliability"
+                );
+                for level in [1.0, 0.5] {
+                    let survivability = quotient
+                        .survivability_curve("pump-down", level, &times, exec)
+                        .unwrap();
+                    assert!(
+                        same(
+                            &analysis
+                                .survivability_curve(disaster, level, &times)
+                                .unwrap(),
+                            &survivability
+                        ),
+                        "{what}: survivability curve at {level}"
+                    );
+                    assert_eq!(
+                        bits(analysis.survivability(disaster, level, 3.0)),
+                        survivability[3].1.to_bits(),
+                        "{what}: survivability at {level}"
+                    );
+                }
+                for start in [None, Some("pump-down")] {
+                    let from = start.map(|_| disaster);
+                    assert!(
+                        same(
+                            &analysis.instantaneous_cost_curve(from, &times).unwrap(),
+                            &quotient
+                                .instantaneous_cost_curve(start, &times, exec)
+                                .unwrap()
+                        ),
+                        "{what}: instantaneous cost after {start:?}"
+                    );
+                    assert!(
+                        same(
+                            &analysis.accumulated_cost_curve(from, &times).unwrap(),
+                            &quotient
+                                .accumulated_cost_curve(start, &times, exec)
+                                .unwrap()
+                        ),
+                        "{what}: accumulated cost after {start:?}"
+                    );
+                }
+                assert_eq!(
+                    bits(analysis.long_run_cost_rate()),
+                    bits(quotient.long_run_cost_rate(exec)),
+                    "{what}: long-run cost rate"
+                );
+            }
+        }
     }
 
     #[test]

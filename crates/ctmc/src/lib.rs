@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dtmc;
 pub mod error;
 pub mod exec;
 pub mod foxglynn;
@@ -54,7 +53,6 @@ pub mod sparse;
 pub mod steady_state;
 pub mod transient;
 
-pub use dtmc::Dtmc;
 pub use error::CtmcError;
 pub use exec::ExecOptions;
 pub use foxglynn::FoxGlynn;

@@ -6,10 +6,14 @@
 //! `shutdown` request, [`ServerHandle::shutdown`] or dropping the handle)
 //! sets the shutdown flag and then wakes the loop with one throwaway
 //! connection. A `shutdown` request is acknowledged before the loop stops;
-//! in-flight connections are joined before [`serve`] returns.
+//! in-flight connections are joined before [`serve`] returns. Only loopback
+//! peers may send `shutdown`: any other peer gets an error reply and the
+//! daemon keeps serving, whatever address it is bound to.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{sink, BufRead, BufReader, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -129,11 +133,12 @@ pub fn serve(listener: TcpListener, service: Arc<AnalysisService>, shutdown: Arc
             break;
         }
         match accepted {
-            Ok((stream, _peer)) => {
+            Ok((stream, peer)) => {
                 let service = Arc::clone(&service);
                 let flag = Arc::clone(&shutdown);
-                let handler =
-                    std::thread::spawn(move || handle_connection(stream, &service, &flag, addr));
+                let handler = std::thread::spawn(move || {
+                    handle_connection(stream, peer.ip(), &service, &flag, addr)
+                });
                 let mut guard = handlers.lock().unwrap();
                 guard.push(handler);
                 // Reap finished handlers so the vector stays small on
@@ -148,12 +153,19 @@ pub fn serve(listener: TcpListener, service: Arc<AnalysisService>, shutdown: Arc
     }
 }
 
+/// Whether `peer` may stop the daemon with a `shutdown` request: loopback
+/// peers only, the IPv4-mapped loopback `::ffff:127.0.0.1` included.
+fn may_shut_down(peer: IpAddr) -> bool {
+    peer.to_canonical().is_loopback()
+}
+
 /// Serves one connection: one JSON request per line, one JSON response per
 /// line, until the peer closes, sends a line longer than [`MAX_LINE_BYTES`]
-/// or requests shutdown. `addr` is the listener's address, which a
-/// `shutdown` request connects to to wake the accept loop.
+/// or, from a loopback `peer`, requests shutdown. `addr` is the listener's
+/// address, which a `shutdown` request connects to to wake the accept loop.
 fn handle_connection(
     stream: TcpStream,
+    peer: IpAddr,
     service: &AnalysisService,
     shutdown: &AtomicBool,
     addr: SocketAddr,
@@ -177,6 +189,11 @@ fn handle_connection(
                 let refusal =
                     Response::Err(format!("request line longer than {MAX_LINE_BYTES} bytes"));
                 let _ = writeln!(writer, "{}", refusal.to_json());
+                // Close gracefully: closing with request bytes still unread
+                // resets the connection, which can drop the refusal before
+                // the peer has read it.
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader.take(MAX_LINE_BYTES as u64), &mut sink());
                 return;
             }
             Ok(_) => {}
@@ -201,6 +218,12 @@ fn handle_connection(
             continue;
         }
         let (response, stop) = match Request::parse_line(trimmed) {
+            Ok(Request::Shutdown) if !may_shut_down(peer) => (
+                Response::Err(format!(
+                    "shutdown is accepted from loopback peers only, not from {peer}"
+                )),
+                false,
+            ),
             Ok(request) => {
                 let stop = request == Request::Shutdown;
                 (service.handle(&request), stop)
@@ -215,5 +238,50 @@ fn handle_connection(
             request_stop(shutdown, addr);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_loopback_peers_may_shut_the_daemon_down() {
+        for peer in ["127.0.0.1", "::1", "::ffff:127.0.0.1"] {
+            assert!(may_shut_down(peer.parse().unwrap()), "{peer} is loopback");
+        }
+        for peer in ["10.0.0.7", "::ffff:10.0.0.7"] {
+            assert!(!may_shut_down(peer.parse().unwrap()), "{peer} is remote");
+        }
+    }
+
+    #[test]
+    fn remote_shutdown_is_refused_and_the_connection_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = TcpStream::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let service = AnalysisService::new(arcade_core::ExecOptions::default());
+        let shutdown = AtomicBool::new(false);
+        let remote: IpAddr = "10.0.0.7".parse().unwrap();
+        let mut replies = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| handle_connection(stream, remote, &service, &shutdown, addr));
+            let mut writer = client.try_clone().unwrap();
+            let mut reader = BufReader::new(client);
+            for request in [r#"{"op":"shutdown"}"#, r#"{"op":"ping"}"#] {
+                writeln!(writer, "{request}").unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                replies.push(reply);
+            }
+        });
+        assert!(
+            replies[0].contains("\"ok\":false") && replies[0].contains("loopback"),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
+        assert!(!shutdown.load(Ordering::SeqCst));
     }
 }

@@ -5,11 +5,11 @@
 //! same [`AnalysisService::handle`] entry point, which is what makes
 //! "daemon responses are bit-identical to in-process results" a structural
 //! property rather than a numerical accident: both paths execute the same
-//! [`CompiledQuotient`] methods. For a facility spec the cached artifact is
-//! the joint chain, `FacilityAnalysis::compiled_quotient()`: the daemon's
-//! facility curves are bit-identical to that artifact's, and agree with the
-//! product-form `FacilityAnalysis` curves, solved per group, to 1e-12
-//! relative.
+//! [`arcade_core::CompiledQuotient`] methods, the ones `Analysis` delegates
+//! to. For a facility spec the cached artifact is the joint chain,
+//! `FacilityAnalysis::compiled_quotient()`: the daemon's facility curves are
+//! bit-identical to that artifact's, and agree with the product-form
+//! `FacilityAnalysis` curves, solved per group, to 1e-12 relative.
 //!
 //! Per query the service:
 //!
@@ -118,9 +118,9 @@ impl AnalysisService {
 
     /// Turns on the flight recorder: every query runs under its own enabled
     /// [`Recorder`] (probes included), its Chrome-trace JSON is written to
-    /// `dir/query-NNNNNN.json`, only the most recent [`TRACE_RING`] files are
-    /// kept, and successful payloads carry the `query_id` the file is named
-    /// after. Tracing never changes results — spans observe, they do not
+    /// `dir/query-NNNNNN.json`, only the most recent `TRACE_RING` (64) files
+    /// are kept, and successful payloads carry the `query_id` the file is
+    /// named after. Tracing never changes results — spans observe, they do not
     /// steer.
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {

@@ -257,14 +257,6 @@ fn composer_options(exec: ExecOptions) -> ComposerOptions {
     }
 }
 
-fn compiled_analysis<'m>(
-    model: &'m arcade_core::ArcadeModel,
-    exec: ExecOptions,
-) -> Result<Analysis<'m>, ArcadeError> {
-    let compiled = CompiledModel::compile_with(model, composer_options(exec))?;
-    Ok(Analysis::from_compiled(model, compiled))
-}
-
 /// Runs one independent experiment task per strategy spec on the worker pool
 /// and returns the outcomes in spec order (kept deterministic by in-order
 /// reassembly). The per-task `exec` budget is forwarded to the solvers inside
@@ -432,7 +424,7 @@ pub fn table2_lines_with(lines: &[Line], exec: ExecOptions) -> Result<Vec<Table2
                 continue;
             }
             let model = facility::line_model(line, spec)?;
-            let analysis = compiled_analysis(&model, exec)?;
+            let analysis = Analysis::with_options(&model, composer_options(exec))?;
             availability[i] = analysis.steady_state_availability()?;
         }
         let combined = if availability.iter().all(|a| a.is_finite()) {
@@ -502,7 +494,7 @@ pub fn fig3_reliability_lines_with(
 ) -> Result<Figure, ArcadeError> {
     let series = exec::map_ordered(lines, exec, |&line| {
         let model = facility::line_model(line, &strategies::dedicated())?;
-        let analysis = compiled_analysis(&model, exec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let points = analysis.reliability_curve(times)?;
         Ok::<Series, ArcadeError>(Series {
             label: format!(
@@ -549,7 +541,7 @@ pub fn fig4_5_survivability_line1_with(
 ) -> Result<(Figure, Figure), ArcadeError> {
     let pairs = sweep_strategies(&strategies::disaster1_strategies(), exec, |spec| {
         let model = facility::line_model(Line::Line1, spec)?;
-        let analysis = compiled_analysis(&model, exec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let disaster = model
             .disaster(DISASTER_ALL_PUMPS)
             .expect("disaster 1 is always defined");
@@ -611,7 +603,7 @@ pub fn fig6_7_cost_line1_with(
 ) -> Result<(Figure, Figure), ArcadeError> {
     let pairs = sweep_strategies(&strategies::disaster1_strategies(), exec, |spec| {
         let model = facility::line_model(Line::Line1, spec)?;
-        let analysis = compiled_analysis(&model, exec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let disaster = model
             .disaster(DISASTER_ALL_PUMPS)
             .expect("disaster 1 is always defined");
@@ -670,7 +662,7 @@ pub fn fig8_9_survivability_line2_with(
 ) -> Result<(Figure, Figure), ArcadeError> {
     let pairs = sweep_strategies(&strategies::paper_strategies(), exec, |spec| {
         let model = facility::line_model(Line::Line2, spec)?;
-        let analysis = compiled_analysis(&model, exec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let disaster = model
             .disaster(DISASTER_LINE2_MIXED)
             .expect("disaster 2 is defined for line 2");
@@ -731,7 +723,7 @@ pub fn fig10_11_cost_line2_with(
     ];
     let pairs = sweep_strategies(&specs, exec, |spec| {
         let model = facility::line_model(Line::Line2, spec)?;
-        let analysis = compiled_analysis(&model, exec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let disaster = model
             .disaster(DISASTER_LINE2_MIXED)
             .expect("disaster 2 is defined for line 2");
@@ -1516,7 +1508,8 @@ mod tests {
         // fast; the full table is covered by the integration tests.
         let spec = strategies::dedicated();
         let model = facility::line_model(Line::Line2, &spec).unwrap();
-        let analysis = compiled_analysis(&model, ExecOptions::default()).unwrap();
+        let analysis =
+            Analysis::with_options(&model, composer_options(ExecOptions::default())).unwrap();
         let availability = analysis.steady_state_availability().unwrap();
         assert!(
             (availability - 0.8186317).abs() < 1e-4,
