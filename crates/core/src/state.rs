@@ -57,12 +57,28 @@ pub enum QueueEncoding {
 }
 
 /// A global state of the composed model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GlobalState {
     /// Status of every component, indexed by [`ComponentIndex`].
     pub statuses: Vec<ComponentStatus>,
     /// Waiting queue of every repair unit (component indices in dispatch order).
     pub queues: Vec<Vec<ComponentIndex>>,
+}
+
+impl Clone for GlobalState {
+    fn clone(&self) -> Self {
+        GlobalState {
+            statuses: self.statuses.clone(),
+            queues: self.queues.clone(),
+        }
+    }
+
+    /// Copies `source` into this state's existing buffers, so a state reused
+    /// as scratch space stops allocating once its queues have grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.statuses.clone_from(&source.statuses);
+        self.queues.clone_from(&source.queues);
+    }
 }
 
 impl GlobalState {

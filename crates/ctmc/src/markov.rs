@@ -29,6 +29,104 @@ pub struct Ctmc {
 }
 
 impl Ctmc {
+    /// Builds a chain from a rate matrix already in compressed sparse row
+    /// form, with all initial mass on `initial_state` and the given labels.
+    ///
+    /// Row `s` holds the transitions `s -> cols[k]` at `rates[k]` for `k` in
+    /// `row_offsets[s]..row_offsets[s + 1]`, so `row_offsets` has one entry
+    /// more than the chain has states. This is the constructor for callers
+    /// that emit rows in order and merge parallel transitions themselves:
+    /// the arrays become the chain's matrix without a copy. Every entry is
+    /// checked as [`CtmcBuilder::add_transition`] checks it, and the layout
+    /// must be canonical: columns strictly increasing within each row.
+    ///
+    /// # Errors
+    ///
+    /// - [`CtmcError::EmptyChain`] if the offsets describe no rows;
+    /// - [`CtmcError::InvalidArgument`] if the offsets do not run
+    ///   non-decreasing from 0 to `cols.len()`, or a row's columns are not
+    ///   strictly increasing;
+    /// - [`CtmcError::DimensionMismatch`] if `rates` and `cols` differ in
+    ///   length, or a label mask is not one entry per state;
+    /// - [`CtmcError::StateOutOfBounds`] for a target or initial state
+    ///   outside the chain;
+    /// - [`CtmcError::SelfLoop`] for a transition from a state to itself;
+    /// - [`CtmcError::InvalidRate`] for a rate that is not positive and finite.
+    pub fn from_csr(
+        row_offsets: Vec<usize>,
+        cols: Vec<StateIndex>,
+        rates: Vec<f64>,
+        initial_state: StateIndex,
+        labels: BTreeMap<String, Vec<bool>>,
+    ) -> Result<Ctmc, CtmcError> {
+        let num_states = row_offsets.len().saturating_sub(1);
+        if num_states == 0 {
+            return Err(CtmcError::EmptyChain);
+        }
+        if rates.len() != cols.len() {
+            return Err(CtmcError::DimensionMismatch {
+                expected: cols.len(),
+                actual: rates.len(),
+            });
+        }
+        if row_offsets[0] != 0
+            || row_offsets[num_states] != cols.len()
+            || row_offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(CtmcError::InvalidArgument {
+                reason: format!(
+                    "row offsets must run non-decreasing from 0 to the {} stored entries",
+                    cols.len()
+                ),
+            });
+        }
+        for from in 0..num_states {
+            let range = row_offsets[from]..row_offsets[from + 1];
+            let targets = &cols[range.clone()];
+            if targets.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(CtmcError::InvalidArgument {
+                    reason: format!("the columns of row {from} are not strictly increasing"),
+                });
+            }
+            for (&to, &rate) in targets.iter().zip(&rates[range]) {
+                if to >= num_states {
+                    return Err(CtmcError::StateOutOfBounds {
+                        state: to,
+                        num_states,
+                    });
+                }
+                if to == from {
+                    return Err(CtmcError::SelfLoop { state: from });
+                }
+                if rate <= 0.0 || !rate.is_finite() {
+                    return Err(CtmcError::InvalidRate { from, to, rate });
+                }
+            }
+        }
+        if initial_state >= num_states {
+            return Err(CtmcError::StateOutOfBounds {
+                state: initial_state,
+                num_states,
+            });
+        }
+        if let Some(mask) = labels.values().find(|mask| mask.len() != num_states) {
+            return Err(CtmcError::DimensionMismatch {
+                expected: num_states,
+                actual: mask.len(),
+            });
+        }
+        let rates = SparseMatrix::from_checked_csr(num_states, row_offsets, cols, rates);
+        let exit_rates = rates.row_sums();
+        let mut initial = vec![0.0; num_states];
+        initial[initial_state] = 1.0;
+        Ok(Ctmc {
+            rates,
+            exit_rates,
+            initial,
+            labels,
+        })
+    }
+
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.rates.num_rows()
@@ -505,6 +603,89 @@ mod tests {
         assert!(matches!(
             b.add_label("x", &[7]),
             Err(CtmcError::StateOutOfBounds { .. })
+        ));
+    }
+
+    /// The CSR arrays of [`three_state_cycle`].
+    fn cycle_csr() -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (vec![0, 1, 2, 3], vec![1, 2, 0], vec![2.0, 3.0, 4.0])
+    }
+
+    #[test]
+    fn from_csr_matches_the_builder() {
+        let (offsets, cols, rates) = cycle_csr();
+        let labels = BTreeMap::from([("start".to_string(), vec![true, false, false])]);
+        let chain = Ctmc::from_csr(offsets, cols, rates, 0, labels).unwrap();
+        assert_eq!(chain, three_state_cycle());
+
+        // Empty rows are allowed; the initial state may be any state.
+        let chain = Ctmc::from_csr(vec![0, 1, 1], vec![1], vec![0.5], 1, BTreeMap::new()).unwrap();
+        assert_eq!(chain.exit_rates(), &[0.5, 0.0]);
+        assert_eq!(chain.initial_distribution(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn from_csr_rejects_bad_input() {
+        let build = |offsets: Vec<usize>, cols: Vec<usize>, rates: Vec<f64>| {
+            Ctmc::from_csr(offsets, cols, rates, 0, BTreeMap::new())
+        };
+        let invalid = |result: Result<Ctmc, CtmcError>| {
+            matches!(result, Err(CtmcError::InvalidArgument { .. }))
+        };
+        assert!(matches!(
+            build(vec![0], vec![], vec![]),
+            Err(CtmcError::EmptyChain)
+        ));
+        assert!(matches!(
+            build(vec![], vec![], vec![]),
+            Err(CtmcError::EmptyChain)
+        ));
+        // Entries the builder rejects one by one.
+        assert!(matches!(
+            build(vec![0, 1, 1], vec![5], vec![1.0]),
+            Err(CtmcError::StateOutOfBounds { state: 5, .. })
+        ));
+        assert!(matches!(
+            build(vec![0, 0, 1], vec![1], vec![1.0]),
+            Err(CtmcError::SelfLoop { state: 1 })
+        ));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                build(vec![0, 1, 1], vec![1], vec![rate]),
+                Err(CtmcError::InvalidRate { from: 0, to: 1, .. })
+            ));
+        }
+        // Unsorted and repeated columns.
+        assert!(invalid(build(vec![0, 2, 2, 2], vec![2, 1], vec![1.0, 1.0])));
+        assert!(invalid(build(vec![0, 2, 2, 2], vec![1, 1], vec![1.0, 1.0])));
+        // Offsets that do not start at 0, decrease or miss the entry count.
+        assert!(invalid(build(vec![1, 1, 1], vec![1], vec![1.0])));
+        assert!(invalid(build(vec![0, 2, 1], vec![1], vec![1.0])));
+        assert!(invalid(build(vec![0, 1, 2], vec![1], vec![1.0])));
+        assert!(invalid(build(vec![0, 0, 0], vec![1], vec![1.0])));
+        assert!(matches!(
+            build(vec![0, 1, 1], vec![1], vec![1.0, 2.0]),
+            Err(CtmcError::DimensionMismatch { .. })
+        ));
+        // Initial state and label masks.
+        let (offsets, cols, rates) = cycle_csr();
+        assert!(matches!(
+            Ctmc::from_csr(
+                offsets.clone(),
+                cols.clone(),
+                rates.clone(),
+                3,
+                BTreeMap::new()
+            ),
+            Err(CtmcError::StateOutOfBounds { state: 3, .. })
+        ));
+        let short = BTreeMap::from([("x".to_string(), vec![true])]);
+        assert!(matches!(
+            Ctmc::from_csr(offsets, cols, rates, 0, short),
+            Err(CtmcError::DimensionMismatch {
+                expected: 3,
+                actual: 1
+            })
         ));
     }
 

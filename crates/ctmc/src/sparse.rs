@@ -55,6 +55,24 @@ impl SparseMatrix {
         }
     }
 
+    /// Wraps CSR arrays whose invariants the caller has checked: `row_offsets`
+    /// runs non-decreasing from 0 to `cols.len() == values.len()`, and every
+    /// row's columns are strictly increasing and below `num_cols`.
+    pub(crate) fn from_checked_csr(
+        num_cols: usize,
+        row_offsets: Vec<usize>,
+        cols: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        SparseMatrix {
+            num_rows: row_offsets.len() - 1,
+            num_cols,
+            row_offsets,
+            cols,
+            values,
+        }
+    }
+
     /// Creates an identity matrix of the given size.
     pub fn identity(n: usize) -> Self {
         let mut builder = SparseMatrixBuilder::new(n, n);
@@ -524,6 +542,26 @@ mod tests {
         let m = b.build();
         assert_eq!(m.get(0, 1), 4.0);
         assert_eq!(m.num_entries(), 2);
+    }
+
+    #[test]
+    fn sorted_triplets_with_duplicates_are_summed_in_push_order() {
+        // Already in (row, col) order, which the sort keeps; every duplicate
+        // run collapses to one entry, summed in push order: (1e16 + 1) + 1
+        // rounds to 1e16, while 1 + 1 + 1e16 would not.
+        let mut b = SparseMatrixBuilder::new(3, 3);
+        b.push(0, 1, 1e16);
+        b.push(0, 1, 1.0);
+        b.push(0, 1, 1.0);
+        b.push(0, 2, 1.0);
+        b.push(2, 0, 0.5);
+        b.push(2, 0, 0.25);
+        let m = b.build();
+        assert_eq!(m.num_entries(), 3);
+        assert_eq!(m.get(0, 1), 1e16);
+        assert_eq!(m.get(0, 2), 1.0);
+        assert_eq!(m.get(2, 0), 0.75);
+        assert_eq!(m.row(1).0.len(), 0);
     }
 
     #[test]

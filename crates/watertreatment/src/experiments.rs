@@ -15,7 +15,7 @@ use ctmc::exec;
 use serde::{Deserialize, Serialize};
 
 use crate::facility::{
-    self, Line, DISASTER_ALL_PUMPS, DISASTER_LINE2_MIXED, FACILITY_DISASTER_ALL_PUMPS,
+    self, Line, LineSpec, DISASTER_ALL_PUMPS, DISASTER_LINE2_MIXED, FACILITY_DISASTER_ALL_PUMPS,
 };
 use crate::registry::ModelSpec;
 use crate::strategies;
@@ -1027,25 +1027,37 @@ pub fn kline_reduction_row(
     spec: &ModelSpec,
     exec: ExecOptions,
 ) -> Result<KLineReductionRow, ArcadeError> {
-    let model = spec
-        .facility_model()?
+    let line_specs = spec
+        .line_specs()
         .ok_or_else(|| ArcadeError::InvalidParameter {
             reason: format!("`{spec}` is a single line, not a facility — the ladder needs k ≥ 2"),
         })?;
+    let model = facility::facility_model_k_scaled(&line_specs, spec.rate_scale())?;
     let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
     let stats = analysis.stats();
 
-    // Flat rung: what exploring every line without lumping would cost.
+    // Flat rung: what exploring every line without lumping would cost. Lines
+    // of one spec (shape and strategy) have one flat chain, so each distinct
+    // spec is composed once, and never lumped.
+    let mut composed: Vec<(&LineSpec, usize)> = Vec::new();
     let mut flat_states = 1usize;
-    for line in model.lines() {
-        let compiled = CompiledModel::compile_with(
-            line.model(),
-            ComposerOptions {
-                lumping: LumpingMode::Exact,
-                ..composer_options(exec)
-            },
-        )?;
-        flat_states = flat_states.saturating_mul(compiled.stats().num_states);
+    for (line, line_spec) in model.lines().iter().zip(&line_specs) {
+        let states = match composed.iter().find(|(seen, _)| *seen == line_spec) {
+            Some(&(_, states)) => states,
+            None => {
+                let compiled = CompiledModel::compile_with(
+                    line.model(),
+                    ComposerOptions {
+                        lumping: LumpingMode::Disabled,
+                        ..composer_options(exec)
+                    },
+                )?;
+                let states = compiled.stats().num_states;
+                composed.push((line_spec, states));
+                states
+            }
+        };
+        flat_states = flat_states.saturating_mul(states);
     }
 
     let availability = analysis.steady_state_availability()?;
@@ -1475,6 +1487,14 @@ mod tests {
             joint,
             materialised.availability
         );
+
+        // A mixed bank composes each distinct (line, strategy) once: the two
+        // DED lines share one flat count, the FRF-1 line has its own.
+        let spec = ModelSpec::parse("facility/ded+frf-1+ded").unwrap();
+        let row = kline_reduction_row(&spec, ExecOptions::default()).unwrap();
+        assert_eq!(row.k, 3);
+        assert_eq!(row.flat_states, 512 * 8129 * 512);
+        assert_eq!(row.product_blocks, 96 * 257 * 96);
     }
 
     #[test]

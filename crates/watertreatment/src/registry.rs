@@ -36,9 +36,7 @@ use arcade_core::{
     ArcadeError, CompiledQuotient, ComposerOptions, FacilityAnalysis, FacilityModel,
 };
 
-use crate::facility::{
-    facility_model_k_scaled, facility_model_scaled, line_model_scaled, Line, LineSpec,
-};
+use crate::facility::{facility_model_k_scaled, line_model_scaled, Line, LineSpec};
 use crate::strategies::{self, StrategySpec};
 
 /// What a [`ModelSpec`] names: one process line, the paper's two-line
@@ -212,18 +210,27 @@ impl ModelSpec {
     ///
     /// Propagates model-building errors.
     pub fn facility_model(&self) -> Result<Option<FacilityModel>, ArcadeError> {
+        self.line_specs()
+            .map(|specs| facility_model_k_scaled(&specs, self.rate_scale))
+            .transpose()
+    }
+
+    /// The shape and strategy of every line of the facility this spec
+    /// names, in line order, or `None` for a single-line spec: Line 1 and
+    /// Line 2 for the two-line facility, the twin shape for a k-line bank.
+    pub(crate) fn line_specs(&self) -> Option<Vec<LineSpec>> {
         match &self.target {
-            ModelTarget::Line { .. } => Ok(None),
-            ModelTarget::Facility { line1, line2 } => {
-                Ok(Some(facility_model_scaled(line1, line2, self.rate_scale)?))
-            }
-            ModelTarget::FacilityK { strategies } => {
-                let specs: Vec<LineSpec> = strategies
+            ModelTarget::Line { .. } => None,
+            ModelTarget::Facility { line1, line2 } => Some(vec![
+                LineSpec::new(Line::Line1, line1.clone()),
+                LineSpec::new(Line::Line2, line2.clone()),
+            ]),
+            ModelTarget::FacilityK { strategies } => Some(
+                strategies
                     .iter()
                     .map(|strategy| LineSpec::twin(strategy.clone()))
-                    .collect();
-                Ok(Some(facility_model_k_scaled(&specs, self.rate_scale)?))
-            }
+                    .collect(),
+            ),
         }
     }
 
@@ -376,6 +383,7 @@ fn parse_strategy(spec: &str, token: &str) -> Result<StrategySpec, ArcadeError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facility::facility_model_scaled;
     use arcade_symmetry::chain_presentation_code;
 
     #[test]

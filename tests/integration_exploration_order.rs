@@ -78,6 +78,17 @@ fn flat_line2_frf1_exploration_order_is_pinned() {
     assert_eq!(exploration_fingerprint(&compiled), 0x9b4f_82a6_08db_3b62);
 }
 
+/// The flat Line 1 FRF-1 chain: 111,809 states and 469,007 transitions. It
+/// is the largest flat chain of the paper, and its 11 components need a
+/// two-word packed key whose queue slots straddle the word boundary.
+#[test]
+fn flat_line1_frf1_exploration_order_is_pinned() {
+    let compiled = compile(Line::Line1, &strategies::frf(1), LumpingMode::Disabled);
+    assert_eq!(compiled.stats().num_states, 111_809);
+    assert_eq!(compiled.stats().num_transitions, 469_007);
+    assert_eq!(exploration_fingerprint(&compiled), 0x174b_1125_676d_533a);
+}
+
 /// The canonical (compositional) Line 1 FRF-2 chain: 727 orbit
 /// representatives.
 #[test]
