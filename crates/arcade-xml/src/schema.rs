@@ -5,7 +5,8 @@
 //! produces, so models round-trip losslessly.
 
 use arcade_core::{
-    ArcadeModel, BasicComponent, Disaster, RepairStrategy, RepairUnit, SpareManagementUnit,
+    ArcadeModel, BasicComponent, Disaster, QueueDiscipline, RepairStrategy, RepairUnit,
+    SpareManagementUnit,
 };
 use fault_tree::{StructureNode, SystemStructure};
 
@@ -24,7 +25,8 @@ use crate::xml::{XmlDocument, XmlElement};
 ///   </components>
 ///   <repair-units>
 ///     <repair-unit name="..." strategy="dedicated|fcfs|frf|fff|priority"
-///                  crews="..." idle-cost="..." busy-cost="...">
+///                  crews="..." idle-cost="..." busy-cost="..."
+///                  discipline="arrival-order|preemptive">  <!-- omitted for the default -->
 ///       <responsible ref="..."/>
 ///       <priority ref="..."/>          <!-- only for strategy="priority" -->
 ///     </repair-unit>
@@ -78,8 +80,8 @@ pub fn to_xml(model: &ArcadeModel) -> String {
         if ru.busy_cost_per_hour() != 0.0 {
             element = element.with_attribute("busy-cost", ru.busy_cost_per_hour());
         }
-        if ru.is_preemptive() {
-            element = element.with_attribute("preemptive", "true");
+        if ru.discipline() != QueueDiscipline::default() {
+            element = element.with_attribute("discipline", discipline_keyword(ru.discipline()));
         }
         for component in ru.components() {
             element
@@ -233,8 +235,25 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
             if let Some(value) = element.attribute("busy-cost") {
                 unit = unit.with_busy_cost(parse_value(element, "busy-cost", value)?);
             }
-            if element.attribute("preemptive") == Some("true") {
-                unit = unit.with_preemption();
+            if element.attribute("preemptive").is_some() {
+                return Err(XmlError::Schema {
+                    message: format!(
+                        "repair unit `{unit_name}` uses the retired attribute `preemptive`; \
+                         write discipline=\"preemptive\" instead"
+                    ),
+                });
+            }
+            if let Some(value) = element.attribute("discipline") {
+                let discipline = DISCIPLINES
+                    .into_iter()
+                    .find(|&d| discipline_keyword(d) == value)
+                    .ok_or_else(|| XmlError::Schema {
+                        message: format!(
+                            "repair unit `{unit_name}` has an unknown discipline `{value}` \
+                             (expected priority-canonical, arrival-order or preemptive)"
+                        ),
+                    })?;
+                unit = unit.with_discipline(discipline);
             }
             builder = builder.repair_unit(unit);
         }
@@ -276,6 +295,20 @@ fn strategy_keyword(strategy: &RepairStrategy) -> &'static str {
         RepairStrategy::FastestRepairFirst => "frf",
         RepairStrategy::FastestFailureFirst => "fff",
         RepairStrategy::Priority(_) => "priority",
+    }
+}
+
+const DISCIPLINES: [QueueDiscipline; 3] = [
+    QueueDiscipline::PriorityCanonical,
+    QueueDiscipline::ArrivalOrder,
+    QueueDiscipline::Preemptive,
+];
+
+fn discipline_keyword(discipline: QueueDiscipline) -> &'static str {
+    match discipline {
+        QueueDiscipline::PriorityCanonical => "priority-canonical",
+        QueueDiscipline::ArrivalOrder => "arrival-order",
+        QueueDiscipline::Preemptive => "preemptive",
     }
 }
 
@@ -439,15 +472,65 @@ mod tests {
                 RepairUnit::new("ru", RepairStrategy::FastestRepairFirst, 2)
                     .unwrap()
                     .responsible_for(["a"])
-                    .with_preemption(),
+                    .with_discipline(QueueDiscipline::Preemptive),
             )
             .build()
             .unwrap();
         let text = to_xml(&model);
-        assert!(text.contains("preemptive=\"true\""));
+        assert!(text.contains("discipline=\"preemptive\""));
         let restored = from_xml(&text).unwrap();
         assert_eq!(restored, model);
-        assert!(restored.repair_units()[0].is_preemptive());
+        assert_eq!(
+            restored.repair_units()[0].discipline(),
+            QueueDiscipline::Preemptive
+        );
+        // The default discipline is not written.
+        assert!(!to_xml(&sample_model()).contains("discipline"));
+    }
+
+    /// A one-unit document whose `<repair-unit>` carries `attribute`.
+    fn unit_with(attribute: &str) -> String {
+        format!(
+            r#"<arcade-model name="x">
+            <components><component name="a" mttf="10" mttr="1"/></components>
+            <repair-units><repair-unit name="ru" strategy="frf" crews="1" {attribute}>
+              <responsible ref="a"/></repair-unit></repair-units>
+            <structure><component ref="a"/></structure>
+        </arcade-model>"#
+        )
+    }
+
+    fn schema_message(text: &str) -> String {
+        match from_xml(text) {
+            Err(XmlError::Schema { message }) => message,
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_discipline_is_rejected() {
+        let message = schema_message(&unit_with(r#"discipline="yes""#));
+        assert!(message.contains("discipline"), "{message}");
+        assert!(message.contains("`yes`"), "{message}");
+        // Every keyword the writer uses reads back.
+        for discipline in DISCIPLINES {
+            let text = unit_with(&format!(
+                r#"discipline="{}""#,
+                discipline_keyword(discipline)
+            ));
+            assert_eq!(
+                from_xml(&text).unwrap().repair_units()[0].discipline(),
+                discipline
+            );
+        }
+    }
+
+    #[test]
+    fn retired_preemptive_attribute_is_rejected() {
+        for value in ["true", "false", "yes"] {
+            let message = schema_message(&unit_with(&format!(r#"preemptive="{value}""#)));
+            assert!(message.contains("discipline"), "{message}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based round-trip tests of the Arcade XML format.
 
 use arcade_core::{
-    ArcadeModel, BasicComponent, Disaster, RepairStrategy, RepairUnit, SpareManagementUnit,
+    ArcadeModel, BasicComponent, Disaster, QueueDiscipline, RepairStrategy, RepairUnit,
+    SpareManagementUnit,
 };
 use arcade_xml::{from_xml, to_xml};
 use fault_tree::{StructureNode, SystemStructure};
@@ -27,6 +28,7 @@ struct Spec {
     failed_costs: Vec<f64>,
     strategy: RepairStrategy,
     crews: usize,
+    discipline: QueueDiscipline,
     with_spare_unit: bool,
     with_disaster: bool,
 }
@@ -39,6 +41,11 @@ fn arbitrary_spec() -> impl Strategy<Value = Spec> {
         proptest::collection::vec(0.0f64..10.0, 6),
         arbitrary_strategy(),
         1usize..=3,
+        prop_oneof![
+            Just(QueueDiscipline::PriorityCanonical),
+            Just(QueueDiscipline::ArrivalOrder),
+            Just(QueueDiscipline::Preemptive),
+        ],
         any::<bool>(),
         any::<bool>(),
     )
@@ -50,6 +57,7 @@ fn arbitrary_spec() -> impl Strategy<Value = Spec> {
                 failed_costs,
                 strategy,
                 crews,
+                discipline,
                 with_spare_unit,
                 with_disaster,
             )| Spec {
@@ -59,6 +67,7 @@ fn arbitrary_spec() -> impl Strategy<Value = Spec> {
                 failed_costs,
                 strategy,
                 crews,
+                discipline,
                 with_spare_unit,
                 with_disaster,
             },
@@ -100,7 +109,8 @@ fn build(spec: &Spec) -> ArcadeModel {
         RepairUnit::new("ru", strategy, spec.crews)
             .unwrap()
             .responsible_for(names.clone())
-            .with_idle_cost(1.0),
+            .with_idle_cost(1.0)
+            .with_discipline(spec.discipline),
     );
     if spec.with_spare_unit && spec.count >= 2 {
         builder = builder.spare_unit(

@@ -8,9 +8,11 @@
 //! queries against this compiled model.
 //!
 //! Failures never occur simultaneously (each transition changes exactly one
-//! component), spare activation and crew dispatch are deterministic side
-//! effects of failure/repair events, and repair is non-preemptive — exactly the
-//! deterministic Arcade subclass that the paper maps to PRISM.
+//! component), and spare activation and crew dispatch are deterministic side
+//! effects of failure/repair events — exactly the deterministic Arcade
+//! subclass that the paper maps to PRISM. Each repair unit queues and serves
+//! its failed components by its [`QueueDiscipline`]; under the default one,
+//! repair is non-preemptive, as in the paper.
 //!
 //! Under the default [`LumpingMode::Compositional`] the composer implements
 //! the paper's compositional aggregation: the model's interchangeable
@@ -22,7 +24,7 @@
 //!
 //! The walk is breadth-first over packed states. Each state is also a
 //! fixed-width key — two status bits per component, then one slot per member
-//! of every non-preemptive repair unit's queue — stored once in an arena and
+//! of every queue a repair unit keeps — stored once in an arena and
 //! found through an open-addressing table of indices. Successors are built
 //! in one reused scratch state, so only a state seen for the first time is
 //! copied, and each row of the rate matrix goes straight into the chain's
@@ -41,8 +43,8 @@ use crate::disaster::Disaster;
 use crate::error::ArcadeError;
 use crate::families::{detect_families, detect_subtree_families, ComponentFamily, SubtreeFamily};
 use crate::model::ArcadeModel;
-use crate::repair::RepairStrategy;
-use crate::state::{ComponentIndex, ComponentStatus, GlobalState, QueueEncoding};
+use crate::repair::{QueueDiscipline, RepairStrategy};
+use crate::state::{ComponentIndex, ComponentStatus, GlobalState};
 
 /// How the composed CTMC is reduced before the solvers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -78,8 +80,6 @@ pub struct ComposerOptions {
     /// are indexed in 32 bits, so no composition holds more than 2³² states
     /// whatever this says.
     pub max_states: usize,
-    /// How repair queues are encoded in the state (see [`QueueEncoding`]).
-    pub queue_encoding: QueueEncoding,
     /// Whether the composed chain is lumped for analysis (see [`LumpingMode`]).
     pub lumping: LumpingMode,
     /// Worker pool for the solvers downstream ([`crate::Analysis`] and the
@@ -93,7 +93,6 @@ impl Default for ComposerOptions {
     fn default() -> Self {
         ComposerOptions {
             max_states: 2_000_000,
-            queue_encoding: QueueEncoding::default(),
             lumping: LumpingMode::default(),
             exec: ExecOptions::default(),
         }
@@ -174,14 +173,9 @@ pub struct CompiledModel {
     cost_rewards: RewardStructure,
     initial_index: usize,
     options: ComposerOptions,
-    // Pre-computed structural data needed to build disaster (GOOD) states.
-    ru_components: Vec<Vec<ComponentIndex>>,
-    ru_effective_crews: Vec<usize>,
-    ru_priorities: Vec<Vec<f64>>,
-    ru_preemptive: Vec<bool>,
-    component_ru: Vec<Option<usize>>,
-    smu_primaries: Vec<Vec<ComponentIndex>>,
-    smu_spares: Vec<Vec<ComponentIndex>>,
+    // The walk's resolved units: disaster (GOOD) states are built with the
+    // same helpers the walk used.
+    units: Units,
     // Every explored state's packed key, indexed like the CTMC states; a
     // disaster state is found by packing it and probing the table.
     key_layout: KeyLayout,
@@ -421,16 +415,11 @@ impl CompiledModel {
     /// never leave the waiting status once failed, and components whose unit
     /// has a crew for every member (the dedicated strategy) never wait.
     fn status_alphabet(&self, component: ComponentIndex) -> usize {
-        let spare_managed = self
-            .smu_primaries
-            .iter()
-            .chain(self.smu_spares.iter())
-            .any(|members| members.contains(&component));
-        let dormant = usize::from(spare_managed);
+        let dormant = usize::from(self.units.component_smu[component].is_some());
         // Failed statuses: waiting and/or under repair, depending on crews.
-        let failed = match self.component_ru[component] {
+        let failed = match self.units.component_ru[component] {
             None => 1, // fails into waiting, is never repaired
-            Some(ru) if self.ru_effective_crews[ru] >= self.ru_components[ru].len() => 1,
+            Some(ru) if self.units.repair[ru].crews >= self.units.repair[ru].members.len() => 1,
             Some(_) => 2,
         };
         1 + dormant + failed
@@ -536,7 +525,7 @@ impl CompiledModel {
     }
 
     fn build_disaster_state(&self, disaster: &Disaster) -> Result<GlobalState, ArcadeError> {
-        let mut failed_indices = Vec::new();
+        let mut failed = Vec::new();
         for name in disaster.failed_components() {
             let idx = self
                 .component_names
@@ -548,78 +537,193 @@ impl CompiledModel {
                         disaster.name()
                     ),
                 })?;
-            failed_indices.push(idx);
+            failed.push(idx);
         }
 
         // Start from the regular initial state so that dormant spares and
-        // initially-failed components keep their configuration.
+        // initially-failed components keep their configuration. Queue
+        // disasters in dispatch-priority order (ties: the order listed in the
+        // disaster), as the paper does when the failure order is unknown.
         let mut state = self.states[self.initial_index].clone();
-        // Queue disasters in dispatch-priority order (ties: the order listed in
-        // the disaster), as the paper does when the failure order is unknown.
-        let mut ordered = failed_indices.clone();
-        ordered.sort_by(|&a, &b| {
-            let (pa, pb) = (self.priority_of(a), self.priority_of(b));
+        failed.sort_by(|&a, &b| {
+            let (pa, pb) = (self.units.priority_of(a), self.units.priority_of(b));
             pb.partial_cmp(&pa).unwrap_or(std::cmp::Ordering::Equal)
         });
-        for &c in &ordered {
-            if state.statuses[c].is_failed() {
-                continue;
-            }
-            state.statuses[c] = ComponentStatus::WaitingForRepair;
-            if let Some(ru) = self.component_ru[c] {
-                if !self.ru_preemptive[ru] {
-                    enqueue(
-                        &mut state.queues[ru],
-                        c,
-                        &self.ru_priorities[ru],
-                        self.options.queue_encoding,
-                    );
-                }
-            }
-        }
-        // Activate spares for failed primaries, then dispatch crews.
-        for smu in 0..self.smu_primaries.len() {
-            rebalance_spares(&mut state, &self.smu_primaries[smu], &self.smu_spares[smu]);
-        }
-        for ru in 0..self.ru_components.len() {
-            if self.ru_preemptive[ru] {
-                dispatch_preemptive(
-                    &mut state,
-                    &self.ru_components[ru],
-                    self.ru_effective_crews[ru],
-                    &self.ru_priorities[ru],
-                );
-            } else {
-                dispatch(
-                    &mut state,
-                    ru,
-                    &self.ru_components[ru],
-                    self.ru_effective_crews[ru],
-                    &self.ru_priorities[ru],
-                );
-            }
-        }
+        self.units.fail_at_once(&mut state, failed);
         if self.options.lumping == LumpingMode::Compositional {
             canonicalize_state(
                 &mut state,
                 &self.families,
                 &self.subtree_families,
-                &self.component_ru,
+                &self.units.component_ru,
             );
         }
         Ok(state)
     }
+}
+
+/// A model's repair units and spare groups resolved to component indices:
+/// the one table the walk and the disaster-state builder share. A unit's
+/// discipline is read only by [`Units::enqueue`], [`Units::assign_crews`]
+/// and the key layout built in [`Composer::new`].
+#[derive(Debug, Clone)]
+struct Units {
+    /// The repair unit responsible for each component, if any.
+    component_ru: Vec<Option<usize>>,
+    /// The spare group each component belongs to, if any.
+    component_smu: Vec<Option<usize>>,
+    repair: Vec<ResolvedUnit>,
+    spare: Vec<SpareGroup>,
+}
+
+/// One repair unit of [`Units`].
+#[derive(Debug, Clone)]
+struct ResolvedUnit {
+    members: Vec<ComponentIndex>,
+    /// Crews working at once: one per member under the dedicated strategy.
+    crews: usize,
+    /// `priorities[component]` is the dispatch priority of the component
+    /// under the unit's strategy (indexed by global component index).
+    priorities: Vec<f64>,
+    discipline: QueueDiscipline,
+}
+
+/// One spare management unit of [`Units`].
+#[derive(Debug, Clone)]
+struct SpareGroup {
+    primaries: Vec<ComponentIndex>,
+    spares: Vec<ComponentIndex>,
+}
+
+impl Units {
+    fn new(model: &ArcadeModel) -> Result<Self, ArcadeError> {
+        let n = model.components().len();
+        let resolve = |names: &[String], referenced_by: &str| {
+            names
+                .iter()
+                .map(|name| {
+                    model
+                        .component_index(name)
+                        .ok_or_else(|| ArcadeError::UnknownComponent {
+                            name: name.clone(),
+                            referenced_by: referenced_by.to_string(),
+                        })
+                })
+                .collect::<Result<Vec<_>, _>>()
+        };
+
+        let mut component_ru = vec![None; n];
+        let mut repair = Vec::new();
+        for (ru_idx, ru) in model.repair_units().iter().enumerate() {
+            let members = resolve(ru.components(), &format!("repair unit `{}`", ru.name()))?;
+            let mut priorities = vec![0.0; n];
+            for &c in &members {
+                component_ru[c] = Some(ru_idx);
+                // The dedicated strategy repairs everything immediately;
+                // priorities are irrelevant but kept at zero for determinism.
+                if !matches!(ru.strategy(), RepairStrategy::Dedicated) {
+                    priorities[c] = ru.strategy().priority_of(&model.components()[c]);
+                }
+            }
+            repair.push(ResolvedUnit {
+                members,
+                crews: ru.effective_crews(),
+                priorities,
+                discipline: ru.discipline(),
+            });
+        }
+
+        let mut component_smu = vec![None; n];
+        let mut spare = Vec::new();
+        for (smu_idx, smu) in model.spare_units().iter().enumerate() {
+            let referenced_by = format!("spare unit `{}`", smu.name());
+            let group = SpareGroup {
+                primaries: resolve(smu.primaries(), &referenced_by)?,
+                spares: resolve(smu.spares(), &referenced_by)?,
+            };
+            for &c in group.primaries.iter().chain(&group.spares) {
+                component_smu[c] = Some(smu_idx);
+            }
+            spare.push(group);
+        }
+
+        Ok(Units {
+            component_ru,
+            component_smu,
+            repair,
+            spare,
+        })
+    }
+
+    /// Puts the just-failed component `c` into its repair unit's queue, in
+    /// the place the unit's discipline keeps it: after every waiting
+    /// component of at least its priority, at the back, or nowhere (a
+    /// preemptive unit keeps no queue).
+    fn enqueue(&self, state: &mut GlobalState, c: ComponentIndex) {
+        let Some(ru) = self.component_ru[c] else {
+            return;
+        };
+        let unit = &self.repair[ru];
+        let queue = &mut state.queues[ru];
+        match unit.discipline {
+            QueueDiscipline::PriorityCanonical => {
+                let priority = unit.priorities[c];
+                let pos = queue
+                    .iter()
+                    .position(|&other| unit.priorities[other] < priority - 1e-12)
+                    .unwrap_or(queue.len());
+                queue.insert(pos, c);
+            }
+            QueueDiscipline::ArrivalOrder => queue.push(c),
+            QueueDiscipline::Preemptive => {}
+        }
+    }
+
+    /// Hands repair unit `ru`'s crews to its failed components after a
+    /// failure or repair event, as the unit's discipline prescribes.
+    fn assign_crews(&self, state: &mut GlobalState, ru: usize) {
+        let unit = &self.repair[ru];
+        match unit.discipline {
+            QueueDiscipline::PriorityCanonical | QueueDiscipline::ArrivalOrder => {
+                dispatch(state, ru, unit)
+            }
+            QueueDiscipline::Preemptive => dispatch_preemptive(state, unit),
+        }
+    }
+
+    /// Fails every listed component that is not failed yet, in the order
+    /// given, then rebalances every spare group and assigns every unit's
+    /// crews. Both the initial state (its initially failed components) and a
+    /// disaster start this way.
+    fn fail_at_once(
+        &self,
+        state: &mut GlobalState,
+        failed: impl IntoIterator<Item = ComponentIndex>,
+    ) {
+        for c in failed {
+            if !state.statuses[c].is_failed() {
+                state.statuses[c] = ComponentStatus::WaitingForRepair;
+                self.enqueue(state, c);
+            }
+        }
+        for group in &self.spare {
+            rebalance_spares(state, group);
+        }
+        for ru in 0..self.repair.len() {
+            self.assign_crews(state, ru);
+        }
+    }
 
     fn priority_of(&self, component: ComponentIndex) -> f64 {
         match self.component_ru[component] {
-            Some(ru) => self.ru_priorities[ru][component],
+            Some(ru) => self.repair[ru].priorities[component],
             None => 0.0,
         }
     }
 }
 
-/// Internal exploration engine: the model's rates, repair and spare units
-/// resolved to component indices, and the [`KeyLayout`] its states pack to.
+/// Internal exploration engine: the model's rates, its resolved [`Units`]
+/// and the [`KeyLayout`] its states pack to.
 struct Composer<'a> {
     model: &'a ArcadeModel,
     options: ComposerOptions,
@@ -627,16 +731,7 @@ struct Composer<'a> {
     repair_rates: Vec<f64>,
     dormancy: Vec<f64>,
     component_names: Vec<String>,
-    component_ru: Vec<Option<usize>>,
-    component_smu: Vec<Option<usize>>,
-    ru_components: Vec<Vec<ComponentIndex>>,
-    ru_effective_crews: Vec<usize>,
-    /// `ru_priorities[ru][component]` is the dispatch priority of the component
-    /// under that unit's strategy (indexed by global component index).
-    ru_priorities: Vec<Vec<f64>>,
-    ru_preemptive: Vec<bool>,
-    smu_primaries: Vec<Vec<ComponentIndex>>,
-    smu_spares: Vec<Vec<ComponentIndex>>,
+    units: Units,
     families: Vec<ComponentFamily>,
     subtree_families: Vec<SubtreeFamily>,
     key_layout: KeyLayout,
@@ -661,80 +756,18 @@ impl<'a> Composer<'a> {
             .iter()
             .map(|c| c.dormancy_factor())
             .collect();
+        let units = Units::new(model)?;
 
-        let mut component_ru = vec![None; n];
-        let mut ru_components = Vec::new();
-        let mut ru_effective_crews = Vec::new();
-        let mut ru_priorities = Vec::new();
-        let mut ru_preemptive = Vec::new();
-        for (ru_idx, ru) in model.repair_units().iter().enumerate() {
-            let mut members = Vec::new();
-            for name in ru.components() {
-                let idx =
-                    model
-                        .component_index(name)
-                        .ok_or_else(|| ArcadeError::UnknownComponent {
-                            name: name.clone(),
-                            referenced_by: format!("repair unit `{}`", ru.name()),
-                        })?;
-                component_ru[idx] = Some(ru_idx);
-                members.push(idx);
-            }
-            ru_effective_crews.push(ru.effective_crews());
-            let mut priorities = vec![0.0; n];
-            for &c in &members {
-                priorities[c] = ru.strategy().priority_of(&model.components()[c]);
-            }
-            // The dedicated strategy repairs everything immediately; priorities
-            // are irrelevant but kept at zero for determinism.
-            if matches!(ru.strategy(), RepairStrategy::Dedicated) {
-                priorities.iter_mut().for_each(|p| *p = 0.0);
-            }
-            ru_components.push(members);
-            ru_priorities.push(priorities);
-            ru_preemptive.push(ru.is_preemptive());
-        }
-
-        let mut component_smu = vec![None; n];
-        let mut smu_primaries = Vec::new();
-        let mut smu_spares = Vec::new();
-        for (smu_idx, smu) in model.spare_units().iter().enumerate() {
-            let mut primaries = Vec::new();
-            for name in smu.primaries() {
-                let idx =
-                    model
-                        .component_index(name)
-                        .ok_or_else(|| ArcadeError::UnknownComponent {
-                            name: name.clone(),
-                            referenced_by: format!("spare unit `{}`", smu.name()),
-                        })?;
-                component_smu[idx] = Some(smu_idx);
-                primaries.push(idx);
-            }
-            let mut spares = Vec::new();
-            for name in smu.spares() {
-                let idx =
-                    model
-                        .component_index(name)
-                        .ok_or_else(|| ArcadeError::UnknownComponent {
-                            name: name.clone(),
-                            referenced_by: format!("spare unit `{}`", smu.name()),
-                        })?;
-                component_smu[idx] = Some(smu_idx);
-                spares.push(idx);
-            }
-            smu_primaries.push(primaries);
-            smu_spares.push(spares);
-        }
-
-        // Only non-preemptive units keep a queue, of at most one slot per member.
+        // Every unit but a preemptive one keeps a queue, of at most one slot
+        // per member.
         let key_layout = KeyLayout::new(
             n,
-            ru_components
+            units
+                .repair
                 .iter()
                 .enumerate()
-                .filter(|&(ru, _)| !ru_preemptive[ru])
-                .map(|(ru, members)| (ru, members.len())),
+                .filter(|(_, unit)| unit.discipline != QueueDiscipline::Preemptive)
+                .map(|(ru, unit)| (ru, unit.members.len())),
         );
 
         Ok(Composer {
@@ -744,14 +777,7 @@ impl<'a> Composer<'a> {
             repair_rates,
             dormancy,
             component_names,
-            component_ru,
-            component_smu,
-            ru_components,
-            ru_effective_crews,
-            ru_priorities,
-            ru_preemptive,
-            smu_primaries,
-            smu_spares,
+            units,
             families: {
                 let mut span = Recorder::current().span("detect-families");
                 let families = detect_families(model);
@@ -763,59 +789,25 @@ impl<'a> Composer<'a> {
         })
     }
 
-    /// Assigns crews of a repair unit after a failure or repair event, using
-    /// the unit's preemptive or non-preemptive discipline.
-    fn assign_crews(&self, state: &mut GlobalState, ru: usize) {
-        if self.ru_preemptive[ru] {
-            dispatch_preemptive(
-                state,
-                &self.ru_components[ru],
-                self.ru_effective_crews[ru],
-                &self.ru_priorities[ru],
-            );
-        } else {
-            dispatch(
-                state,
-                ru,
-                &self.ru_components[ru],
-                self.ru_effective_crews[ru],
-                &self.ru_priorities[ru],
-            );
-        }
-    }
-
     fn initial_state(&self) -> GlobalState {
         let n = self.component_names.len();
         let mut statuses = vec![ComponentStatus::Operational; n];
         // Spares start dormant.
-        for spares in &self.smu_spares {
-            for &s in spares {
+        for group in &self.units.spare {
+            for &s in &group.spares {
                 statuses[s] = ComponentStatus::Dormant;
             }
         }
-        let mut state = GlobalState::new(statuses, self.ru_components.len());
+        let mut state = GlobalState::new(statuses, self.units.repair.len());
         // Initially failed components enter their queues right away.
-        for (idx, component) in self.model.components().iter().enumerate() {
-            if component.is_initially_failed() {
-                state.statuses[idx] = ComponentStatus::WaitingForRepair;
-                if let Some(ru) = self.component_ru[idx] {
-                    if !self.ru_preemptive[ru] {
-                        enqueue(
-                            &mut state.queues[ru],
-                            idx,
-                            &self.ru_priorities[ru],
-                            self.options.queue_encoding,
-                        );
-                    }
-                }
-            }
-        }
-        for smu in 0..self.smu_primaries.len() {
-            rebalance_spares(&mut state, &self.smu_primaries[smu], &self.smu_spares[smu]);
-        }
-        for ru in 0..self.ru_components.len() {
-            self.assign_crews(&mut state, ru);
-        }
+        let initially_failed = self
+            .model
+            .components()
+            .iter()
+            .enumerate()
+            .filter(|(_, component)| component.is_initially_failed())
+            .map(|(idx, _)| idx);
+        self.units.fail_at_once(&mut state, initially_failed);
         state
     }
 
@@ -851,40 +843,32 @@ impl<'a> Composer<'a> {
     fn apply_failure(&self, state: &mut GlobalState, c: ComponentIndex) {
         let was_active = state.statuses[c] == ComponentStatus::Operational;
         state.statuses[c] = ComponentStatus::WaitingForRepair;
-        if let Some(ru) = self.component_ru[c] {
-            if !self.ru_preemptive[ru] {
-                enqueue(
-                    &mut state.queues[ru],
-                    c,
-                    &self.ru_priorities[ru],
-                    self.options.queue_encoding,
-                );
-            }
-        }
+        self.units.enqueue(state, c);
         // Spare activation: a failed *active* component of a spare-managed group
         // is replaced by a dormant spare of the same group, if one is available.
         if was_active {
-            if let Some(smu) = self.component_smu[c] {
-                rebalance_spares(state, &self.smu_primaries[smu], &self.smu_spares[smu]);
+            if let Some(smu) = self.units.component_smu[c] {
+                rebalance_spares(state, &self.units.spare[smu]);
             }
         }
-        if let Some(ru) = self.component_ru[c] {
-            self.assign_crews(state, ru);
+        if let Some(ru) = self.units.component_ru[c] {
+            self.units.assign_crews(state, ru);
         }
     }
 
     fn apply_repair(&self, state: &mut GlobalState, c: ComponentIndex) {
         state.statuses[c] = ComponentStatus::Operational;
-        if let Some(smu) = self.component_smu[c] {
+        if let Some(smu) = self.units.component_smu[c] {
             // A repaired spare goes back to dormant unless it is still needed;
             // a repaired primary sends a no-longer-needed spare back to dormant.
-            if self.smu_spares[smu].contains(&c) {
+            let group = &self.units.spare[smu];
+            if group.spares.contains(&c) {
                 state.statuses[c] = ComponentStatus::Dormant;
             }
-            rebalance_spares(state, &self.smu_primaries[smu], &self.smu_spares[smu]);
+            rebalance_spares(state, group);
         }
-        if let Some(ru) = self.component_ru[c] {
-            self.assign_crews(state, ru);
+        if let Some(ru) = self.units.component_ru[c] {
+            self.units.assign_crews(state, ru);
         }
     }
 
@@ -897,10 +881,9 @@ impl<'a> Composer<'a> {
                 cost += component.operational_cost_per_hour();
             }
         }
-        for (ru_idx, ru) in self.model.repair_units().iter().enumerate() {
-            let busy = state.num_under_repair(&self.ru_components[ru_idx]);
-            let crews = self.ru_effective_crews[ru_idx];
-            let idle = crews.saturating_sub(busy);
+        for (unit, ru) in self.units.repair.iter().zip(self.model.repair_units()) {
+            let busy = state.num_under_repair(&unit.members);
+            let idle = unit.crews.saturating_sub(busy);
             cost += idle as f64 * ru.idle_cost_per_hour() + busy as f64 * ru.busy_cost_per_hour();
         }
         cost
@@ -924,7 +907,7 @@ impl<'a> Composer<'a> {
                     state,
                     &self.families,
                     &self.subtree_families,
-                    &self.component_ru,
+                    &self.units.component_ru,
                 );
             }
         };
@@ -1062,13 +1045,7 @@ impl<'a> Composer<'a> {
             cost_rewards,
             initial_index: 0,
             options: self.options,
-            ru_components: self.ru_components,
-            ru_effective_crews: self.ru_effective_crews,
-            ru_priorities: self.ru_priorities,
-            ru_preemptive: self.ru_preemptive,
-            component_ru: self.component_ru,
-            smu_primaries: self.smu_primaries,
-            smu_spares: self.smu_spares,
+            units: self.units,
             key_layout: self.key_layout,
             state_keys: keys,
             families: self.families,
@@ -1083,7 +1060,7 @@ impl<'a> Composer<'a> {
 ///
 /// A key is one little-endian bit string over [`KeyLayout::words`] words:
 /// two bits per component holding its [`status_rank`], in component order,
-/// then the queue of every non-preemptive repair unit as one slot per member
+/// then the queue of every repair unit that keeps one as one slot per member
 /// of the unit, each slot holding `component + 1`, or 0 when empty. Status
 /// fields never straddle a word; queue slots may. A state is its statuses
 /// plus an ordered queue of distinct members per such unit (preemptive units
@@ -1369,38 +1346,13 @@ fn status_from_rank(rank: u8) -> ComponentStatus {
     }
 }
 
-/// Inserts a component into a repair queue according to the chosen encoding.
-fn enqueue(
-    queue: &mut Vec<ComponentIndex>,
-    component: ComponentIndex,
-    priorities: &[f64],
-    encoding: QueueEncoding,
-) {
-    match encoding {
-        QueueEncoding::ArrivalOrder => queue.push(component),
-        QueueEncoding::PriorityCanonical => {
-            let priority = priorities[component];
-            // Insert after the last element whose priority is >= ours, keeping
-            // FIFO order among equal priorities.
-            let pos = queue
-                .iter()
-                .position(|&other| priorities[other] < priority - 1e-12)
-                .unwrap_or(queue.len());
-            queue.insert(pos, component);
-        }
-    }
-}
-
-/// Preemptive crew assignment: the crews always serve the `crews`
-/// highest-priority failed components of the unit (ties broken by component
-/// definition order); everything else waits. No queue is needed in the state.
-fn dispatch_preemptive(
-    state: &mut GlobalState,
-    members: &[ComponentIndex],
-    crews: usize,
-    priorities: &[f64],
-) {
-    let mut failed: Vec<ComponentIndex> = members
+/// Preemptive crew assignment: the crews always serve the highest-priority
+/// failed members of the unit (ties broken by component definition order);
+/// everything else waits. No queue is needed in the state.
+fn dispatch_preemptive(state: &mut GlobalState, unit: &ResolvedUnit) {
+    let priorities = &unit.priorities;
+    let mut failed: Vec<ComponentIndex> = unit
+        .members
         .iter()
         .copied()
         .filter(|&c| state.statuses[c].is_failed())
@@ -1412,7 +1364,7 @@ fn dispatch_preemptive(
             .then(a.cmp(&b))
     });
     for (rank, &c) in failed.iter().enumerate() {
-        state.statuses[c] = if rank < crews {
+        state.statuses[c] = if rank < unit.crews {
             ComponentStatus::UnderRepair
         } else {
             ComponentStatus::WaitingForRepair
@@ -1420,25 +1372,19 @@ fn dispatch_preemptive(
     }
 }
 
-/// Assigns free crews of a repair unit to the highest-priority waiting
+/// Assigns free crews of repair unit `ru` to the highest-priority waiting
 /// components (non-preemptive dispatch, FCFS tie-break).
-fn dispatch(
-    state: &mut GlobalState,
-    ru: usize,
-    members: &[ComponentIndex],
-    crews: usize,
-    priorities: &[f64],
-) {
+fn dispatch(state: &mut GlobalState, ru: usize, unit: &ResolvedUnit) {
     loop {
-        let busy = state.num_under_repair(members);
-        if busy >= crews || state.queues[ru].is_empty() {
+        let busy = state.num_under_repair(&unit.members);
+        if busy >= unit.crews || state.queues[ru].is_empty() {
             return;
         }
         // Select the waiting component with the highest priority; the earliest
         // arrival wins ties (scan keeps the first maximum).
         let mut best_pos = 0;
         for (pos, &candidate) in state.queues[ru].iter().enumerate() {
-            if priorities[candidate] > priorities[state.queues[ru][best_pos]] + 1e-12 {
+            if unit.priorities[candidate] > unit.priorities[state.queues[ru][best_pos]] + 1e-12 {
                 best_pos = pos;
             }
         }
@@ -1450,11 +1396,8 @@ fn dispatch(
 /// Activates dormant spares while active capacity is missing and deactivates
 /// surplus operational spares, keeping the number of service-providing
 /// components of the group at the number of primaries whenever possible.
-fn rebalance_spares(
-    state: &mut GlobalState,
-    primaries: &[ComponentIndex],
-    spares: &[ComponentIndex],
-) {
+fn rebalance_spares(state: &mut GlobalState, group: &SpareGroup) {
+    let (primaries, spares) = (&group.primaries, &group.spares);
     let desired = primaries.len();
     loop {
         let active = primaries
@@ -1497,6 +1440,14 @@ mod tests {
     use fault_tree::{StructureNode, SystemStructure};
 
     fn two_component_model(strategy: RepairStrategy, crews: usize) -> ArcadeModel {
+        two_component_model_with(strategy, crews, QueueDiscipline::default())
+    }
+
+    fn two_component_model_with(
+        strategy: RepairStrategy,
+        crews: usize,
+        discipline: QueueDiscipline,
+    ) -> ArcadeModel {
         let structure = SystemStructure::new(StructureNode::series(vec![
             StructureNode::component("a"),
             StructureNode::component("b"),
@@ -1516,7 +1467,8 @@ mod tests {
                 RepairUnit::new("ru", strategy, crews)
                     .unwrap()
                     .responsible_for(["a", "b"])
-                    .with_idle_cost(1.0),
+                    .with_idle_cost(1.0)
+                    .with_discipline(discipline),
             )
             .disaster(Disaster::new("both", ["a", "b"]).unwrap())
             .build()
@@ -1550,25 +1502,14 @@ mod tests {
 
     #[test]
     fn frf_priority_canonical_merges_cross_priority_orders() {
-        let model = two_component_model(RepairStrategy::FastestRepairFirst, 1);
-        let canonical = CompiledModel::compile_with(
-            &model,
-            ComposerOptions {
-                queue_encoding: QueueEncoding::PriorityCanonical,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let arrival = CompiledModel::compile_with(
-            &model,
-            ComposerOptions {
-                queue_encoding: QueueEncoding::ArrivalOrder,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Both encodings are valid; the canonical one may merge states but never
-        // produce more.
+        let compile = |discipline| {
+            let model = two_component_model_with(RepairStrategy::FastestRepairFirst, 1, discipline);
+            CompiledModel::compile(&model).unwrap()
+        };
+        let canonical = compile(QueueDiscipline::PriorityCanonical);
+        let arrival = compile(QueueDiscipline::ArrivalOrder);
+        // Both disciplines are valid; the canonical one may merge states but
+        // never produce more.
         assert!(canonical.stats().num_states <= arrival.stats().num_states);
         assert_eq!(arrival.stats().num_states, 5);
     }
@@ -1712,7 +1653,7 @@ mod tests {
                 .unwrap()
                 .responsible_for(["a", "b", "c"]);
             if preemptive {
-                unit = unit.with_preemption();
+                unit = unit.with_discipline(QueueDiscipline::Preemptive);
             }
             ArcadeModel::builder("preemption", structure.clone())
                 .component(BasicComponent::from_mttf_mttr("a", 100.0, 1.0).unwrap())

@@ -69,7 +69,6 @@ use ctmc::{
 use crate::composer::{service_at_least, CompiledModel, ComposerOptions, StateSpaceStats};
 use crate::disaster::Disaster;
 use crate::error::ArcadeError;
-use crate::measures::{FacilityMeasure, MeasureResult};
 use crate::model::ArcadeModel;
 use crate::quotient::{check_service_level, CompiledQuotient, QuotientParts};
 use crate::repair::{RepairStrategy, RepairUnit};
@@ -469,7 +468,7 @@ fn merged_group_model(
                 Some((_, reference, responsibilities)) => {
                     if reference.strategy() != unit.strategy()
                         || reference.crews() != unit.crews()
-                        || reference.is_preemptive() != unit.is_preemptive()
+                        || reference.discipline() != unit.discipline()
                         || reference.idle_cost_per_hour() != unit.idle_cost_per_hour()
                         || reference.busy_cost_per_hour() != unit.busy_cost_per_hour()
                     {
@@ -498,13 +497,11 @@ fn merged_group_model(
         }
     }
     for (name, reference, responsibilities) in merged_units {
-        let mut unit = RepairUnit::new(name, reference.strategy().clone(), reference.crews())?
+        let unit = RepairUnit::new(name, reference.strategy().clone(), reference.crews())?
             .responsible_for(responsibilities)
             .with_idle_cost(reference.idle_cost_per_hour())
-            .with_busy_cost(reference.busy_cost_per_hour());
-        if reference.is_preemptive() {
-            unit = unit.with_preemption();
-        }
+            .with_busy_cost(reference.busy_cost_per_hour())
+            .with_discipline(reference.discipline());
         builder = builder.repair_unit(unit);
     }
 
@@ -1498,42 +1495,6 @@ impl<'a> FacilityAnalysis<'a> {
         Ok(times.iter().copied().zip(folded).collect())
     }
 
-    /// Evaluates a declarative [`FacilityMeasure`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArcadeError::UnsupportedMeasure`] for unknown lines or
-    /// disasters and propagates solver errors.
-    pub fn evaluate(&self, measure: &FacilityMeasure) -> Result<MeasureResult, ArcadeError> {
-        match measure {
-            FacilityMeasure::SteadyStateAvailability => {
-                self.steady_state_availability().map(MeasureResult::Scalar)
-            }
-            FacilityMeasure::JointSteadyStateAvailability => Ok(MeasureResult::Scalar(
-                self.joint_steady_state_availability()?.availability,
-            )),
-            FacilityMeasure::LineAvailability { line } => {
-                let index =
-                    self.model
-                        .line_index(line)
-                        .ok_or_else(|| ArcadeError::UnsupportedMeasure {
-                            reason: format!("unknown line `{line}`"),
-                        })?;
-                self.line_availability(index).map(MeasureResult::Scalar)
-            }
-            FacilityMeasure::SurvivabilityCurve {
-                disaster,
-                service_level,
-                times,
-            } => self
-                .survivability_curve(disaster, *service_level, times)
-                .map(MeasureResult::Curve),
-            FacilityMeasure::AccumulatedCost { disaster, times } => self
-                .accumulated_cost_curve(disaster.as_deref(), times)
-                .map(MeasureResult::Curve),
-        }
-    }
-
     /// The facility cost rewards on the joint chain.
     fn joint_cost_rewards(
         &self,
@@ -1630,7 +1591,7 @@ fn per_line_masks(
 mod tests {
     use super::*;
     use crate::component::BasicComponent;
-    use crate::repair::{RepairStrategy, RepairUnit};
+    use crate::repair::{QueueDiscipline, RepairStrategy, RepairUnit};
 
     /// A line with a single repairable pump behind its own repair unit.
     fn pump_line(unit_name: &str, mttf: f64, mttr: f64) -> ArcadeModel {
@@ -1757,6 +1718,35 @@ mod tests {
         let stats = analysis.stats();
         assert!(stats.lines.iter().all(|l| l.jointly_explored));
         assert_eq!(stats.lines[0].group, stats.lines[1].group);
+    }
+
+    #[test]
+    fn shared_units_must_agree_on_their_discipline() {
+        let structure = SystemStructure::new(StructureNode::component("pump"));
+        let preemptive = ArcadeModel::builder("line", structure)
+            .component(
+                BasicComponent::from_mttf_mttr("pump", 50.0, 2.0)
+                    .unwrap()
+                    .with_failed_cost(3.0),
+            )
+            .repair_unit(
+                RepairUnit::new("shared-ru", RepairStrategy::FirstComeFirstServe, 1)
+                    .unwrap()
+                    .responsible_for(["pump"])
+                    .with_idle_cost(1.0)
+                    .with_discipline(QueueDiscipline::Preemptive),
+            )
+            .build()
+            .unwrap();
+        let facility = FacilityModel::builder("mismatch")
+            .line("line1", pump_line("shared-ru", 100.0, 1.0))
+            .line("line2", preemptive)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            FacilityAnalysis::new(&facility),
+            Err(ArcadeError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
@@ -2059,53 +2049,6 @@ mod tests {
         let product = analysis.quotient_product().unwrap();
         assert_eq!(product.num_states(), stats.joint_blocks);
         assert_eq!(product.num_transitions(), stats.joint_transitions);
-    }
-
-    #[test]
-    fn declarative_facility_measures_match_direct_calls() {
-        let facility = independent_facility();
-        let analysis = FacilityAnalysis::new(&facility).unwrap();
-        let availability = analysis
-            .evaluate(&FacilityMeasure::SteadyStateAvailability)
-            .unwrap();
-        assert_eq!(
-            availability.as_scalar(),
-            Some(analysis.steady_state_availability().unwrap())
-        );
-        let joint = analysis
-            .evaluate(&FacilityMeasure::JointSteadyStateAvailability)
-            .unwrap();
-        assert!((joint.as_scalar().unwrap() - availability.as_scalar().unwrap()).abs() <= 1e-9);
-        let line = analysis
-            .evaluate(&FacilityMeasure::LineAvailability {
-                line: "line1".into(),
-            })
-            .unwrap();
-        assert_eq!(
-            line.as_scalar(),
-            Some(analysis.line_availability(0).unwrap())
-        );
-        assert!(analysis
-            .evaluate(&FacilityMeasure::LineAvailability {
-                line: "nope".into()
-            })
-            .is_err());
-        let curve = analysis
-            .evaluate(&FacilityMeasure::SurvivabilityCurve {
-                disaster: "both-pumps".into(),
-                service_level: 1.0,
-                times: vec![1.0, 2.0],
-            })
-            .unwrap();
-        assert_eq!(curve.as_curve().unwrap().len(), 2);
-        let cost = analysis
-            .evaluate(&FacilityMeasure::AccumulatedCost {
-                disaster: Some("both-pumps".into()),
-                times: vec![1.0],
-            })
-            .unwrap();
-        assert!(cost.as_curve().unwrap()[0].1 > 0.0);
-        assert!(!FacilityMeasure::SteadyStateAvailability.kind().is_empty());
     }
 
     #[test]

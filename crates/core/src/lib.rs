@@ -96,9 +96,9 @@ pub use facility::{
     OrbitAvailability,
 };
 pub use families::{detect_families, detect_subtree_families, ComponentFamily, SubtreeFamily};
-pub use measures::{FacilityMeasure, Measure, MeasureResult};
+pub use measures::{Measure, MeasureResult};
 pub use model::{ArcadeModel, ArcadeModelBuilder};
 pub use quotient::{CompiledQuotient, QuotientParts};
-pub use repair::{RepairStrategy, RepairUnit};
+pub use repair::{QueueDiscipline, RepairStrategy, RepairUnit};
 pub use spare::SpareManagementUnit;
-pub use state::{ComponentIndex, ComponentStatus, GlobalState, QueueEncoding};
+pub use state::{ComponentIndex, ComponentStatus, GlobalState};

@@ -131,56 +131,6 @@ impl Measure {
     }
 }
 
-/// A facility-level measure, evaluated over the product of the per-line
-/// chains by [`crate::FacilityAnalysis::evaluate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FacilityMeasure {
-    /// Long-run probability that at least one line is fully operational,
-    /// via the product form (`A = A1 + A2 − A1·A2` for two independent
-    /// lines).
-    SteadyStateAvailability,
-    /// The same probability solved on the genuine materialised joint chain
-    /// (the validation counterpart of the product form).
-    JointSteadyStateAvailability,
-    /// Long-run probability that the named line is fully operational.
-    LineAvailability {
-        /// The line name.
-        line: String,
-    },
-    /// Probability of the facility again delivering a service level of at
-    /// least `service_level` on some line within each deadline after the
-    /// named facility disaster.
-    SurvivabilityCurve {
-        /// Name of the facility disaster to start from.
-        disaster: String,
-        /// Required service level in `[0, 1]`.
-        service_level: f64,
-        /// Recovery deadlines in hours.
-        times: Vec<f64>,
-    },
-    /// Expected accumulated facility repair cost up to the given bounds,
-    /// optionally after a facility disaster.
-    AccumulatedCost {
-        /// Disaster to start from; `None` starts all lines operational.
-        disaster: Option<String>,
-        /// Time bounds in hours.
-        times: Vec<f64>,
-    },
-}
-
-impl FacilityMeasure {
-    /// A short human-readable identifier for reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FacilityMeasure::SteadyStateAvailability => "facility availability (product form)",
-            FacilityMeasure::JointSteadyStateAvailability => "facility availability (joint chain)",
-            FacilityMeasure::LineAvailability { .. } => "line availability",
-            FacilityMeasure::SurvivabilityCurve { .. } => "facility survivability curve",
-            FacilityMeasure::AccumulatedCost { .. } => "facility accumulated cost",
-        }
-    }
-}
-
 /// The result of evaluating a [`Measure`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MeasureResult {

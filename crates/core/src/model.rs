@@ -148,8 +148,9 @@ impl ArcadeModel {
     }
 
     /// Returns a copy of this model in which every repair unit uses `strategy`
-    /// with `crews` crews. This is the knob turned throughout the paper's
-    /// evaluation (DED, FRF-1, FRF-2, FFF-1, FFF-2).
+    /// with `crews` crews, keeping its queue discipline. This is the knob
+    /// turned throughout the paper's evaluation (DED, FRF-1, FRF-2, FFF-1,
+    /// FFF-2).
     pub fn with_repair_strategy(
         &self,
         strategy: RepairStrategy,
@@ -161,15 +162,11 @@ impl ArcadeModel {
             .iter()
             .map(|ru| {
                 RepairUnit::new(ru.name(), strategy.clone(), crews).map(|new_ru| {
-                    let new_ru = new_ru
+                    new_ru
                         .responsible_for(ru.components().iter().cloned())
                         .with_idle_cost(ru.idle_cost_per_hour())
-                        .with_busy_cost(ru.busy_cost_per_hour());
-                    if ru.is_preemptive() {
-                        new_ru.with_preemption()
-                    } else {
-                        new_ru
-                    }
+                        .with_busy_cost(ru.busy_cost_per_hour())
+                        .with_discipline(ru.discipline())
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;

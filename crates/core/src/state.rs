@@ -41,27 +41,14 @@ impl ComponentStatus {
     }
 }
 
-/// How the waiting queue of a repair unit is encoded in the state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum QueueEncoding {
-    /// The queue records the full arrival order of waiting components. This is
-    /// the encoding closest to the PRISM models of the paper and produces the
-    /// largest state spaces.
-    ArrivalOrder,
-    /// The queue is kept sorted by dispatch priority (ties keep arrival order).
-    /// Dispatch behaviour is identical, but states that differ only in the
-    /// arrival order of components with *different* priorities are merged,
-    /// which can shrink the state space considerably.
-    #[default]
-    PriorityCanonical,
-}
-
 /// A global state of the composed model.
 #[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GlobalState {
     /// Status of every component, indexed by [`ComponentIndex`].
     pub statuses: Vec<ComponentStatus>,
-    /// Waiting queue of every repair unit (component indices in dispatch order).
+    /// Waiting queue of every repair unit, in the order its
+    /// [`QueueDiscipline`](crate::QueueDiscipline) keeps (always empty for a
+    /// preemptive unit).
     pub queues: Vec<Vec<ComponentIndex>>,
 }
 
@@ -146,6 +133,10 @@ mod tests {
 
     #[test]
     fn default_queue_encoding_is_canonical() {
-        assert_eq!(QueueEncoding::default(), QueueEncoding::PriorityCanonical);
+        use crate::repair::QueueDiscipline;
+        assert_eq!(
+            QueueDiscipline::default(),
+            QueueDiscipline::PriorityCanonical
+        );
     }
 }

@@ -2,8 +2,8 @@
 //! Arcade models.
 
 use arcade_core::{
-    ArcadeModel, BasicComponent, CompiledModel, ComposerOptions, Disaster, QueueEncoding,
-    RepairStrategy, RepairUnit,
+    ArcadeModel, BasicComponent, CompiledModel, Disaster, QueueDiscipline, RepairStrategy,
+    RepairUnit,
 };
 use fault_tree::{StructureNode, SystemStructure};
 use proptest::prelude::*;
@@ -45,6 +45,10 @@ fn arbitrary_spec() -> impl Strategy<Value = ModelSpec> {
 }
 
 fn build_model(spec: &ModelSpec) -> ArcadeModel {
+    build_model_with(spec, QueueDiscipline::default())
+}
+
+fn build_model_with(spec: &ModelSpec, discipline: QueueDiscipline) -> ArcadeModel {
     let names: Vec<String> = (0..spec.component_count).map(|i| format!("c{i}")).collect();
     let children: Vec<StructureNode> = names
         .iter()
@@ -67,7 +71,8 @@ fn build_model(spec: &ModelSpec) -> ArcadeModel {
         RepairUnit::new("ru", spec.strategy.clone(), spec.crews)
             .unwrap()
             .responsible_for(names.clone())
-            .with_idle_cost(1.0),
+            .with_idle_cost(1.0)
+            .with_discipline(discipline),
     );
     builder = builder.disaster(Disaster::new("all", names).unwrap());
     builder.build().unwrap()
@@ -108,27 +113,20 @@ proptest! {
 
     #[test]
     fn queue_encodings_agree_on_measures(spec in arbitrary_spec()) {
-        let model = build_model(&spec);
-        let canonical = CompiledModel::compile_with(
-            &model,
-            ComposerOptions { queue_encoding: QueueEncoding::PriorityCanonical, ..Default::default() },
-        )
-        .unwrap();
-        let arrival = CompiledModel::compile_with(
-            &model,
-            ComposerOptions { queue_encoding: QueueEncoding::ArrivalOrder, ..Default::default() },
-        )
-        .unwrap();
-        // The canonical encoding merges behaviourally equivalent states.
+        let canonical_model = build_model_with(&spec, QueueDiscipline::PriorityCanonical);
+        let arrival_model = build_model_with(&spec, QueueDiscipline::ArrivalOrder);
+        let canonical = CompiledModel::compile(&canonical_model).unwrap();
+        let arrival = CompiledModel::compile(&arrival_model).unwrap();
+        // The priority-sorted queue merges behaviourally equivalent states.
         prop_assert!(canonical.stats().num_states <= arrival.stats().num_states);
 
-        // Both encodings give the same steady-state availability.
-        let availability = |compiled: &CompiledModel| -> f64 {
-            let analysis = arcade_core::Analysis::from_compiled(&model, compiled.clone());
+        // Both disciplines give the same steady-state availability.
+        let availability = |model: &ArcadeModel, compiled: &CompiledModel| -> f64 {
+            let analysis = arcade_core::Analysis::from_compiled(model, compiled.clone());
             analysis.steady_state_availability().unwrap()
         };
-        let a = availability(&canonical);
-        let b = availability(&arrival);
+        let a = availability(&canonical_model, &canonical);
+        let b = availability(&arrival_model, &arrival);
         prop_assert!((a - b).abs() < 1e-6, "canonical {a} vs arrival-order {b}");
     }
 

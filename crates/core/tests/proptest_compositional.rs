@@ -5,7 +5,7 @@
 
 use arcade_core::{
     Analysis, ArcadeModel, BasicComponent, CompiledModel, ComposerOptions, Disaster, LumpingMode,
-    QueueEncoding, RepairStrategy, RepairUnit, SpareManagementUnit,
+    QueueDiscipline, RepairStrategy, RepairUnit, SpareManagementUnit,
 };
 use fault_tree::{StructureNode, SystemStructure};
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ struct ModelSpec {
     identical_prefix: usize,
     strategy: RepairStrategy,
     crews: usize,
-    queue_encoding: QueueEncoding,
+    discipline: QueueDiscipline,
     redundant: bool,
     with_spare: bool,
 }
@@ -39,8 +39,9 @@ fn arbitrary_spec() -> impl Strategy<Value = ModelSpec> {
         ],
         1usize..=2,
         prop_oneof![
-            Just(QueueEncoding::PriorityCanonical),
-            Just(QueueEncoding::ArrivalOrder),
+            Just(QueueDiscipline::PriorityCanonical),
+            Just(QueueDiscipline::ArrivalOrder),
+            Just(QueueDiscipline::Preemptive),
         ],
         any::<bool>(),
         any::<bool>(),
@@ -53,7 +54,7 @@ fn arbitrary_spec() -> impl Strategy<Value = ModelSpec> {
                 identical_prefix,
                 strategy,
                 crews,
-                queue_encoding,
+                discipline,
                 redundant,
                 with_spare,
             )| ModelSpec {
@@ -63,7 +64,7 @@ fn arbitrary_spec() -> impl Strategy<Value = ModelSpec> {
                 identical_prefix,
                 strategy,
                 crews,
-                queue_encoding,
+                discipline,
                 redundant,
                 with_spare,
             },
@@ -94,7 +95,8 @@ fn build_model(spec: &ModelSpec) -> ArcadeModel {
         RepairUnit::new("ru", spec.strategy.clone(), spec.crews)
             .unwrap()
             .responsible_for(names.clone())
-            .with_idle_cost(1.0),
+            .with_idle_cost(1.0)
+            .with_discipline(spec.discipline),
     );
     if spec.with_spare && spec.component_count >= 2 {
         let spare = names.last().unwrap().clone();
@@ -105,21 +107,17 @@ fn build_model(spec: &ModelSpec) -> ArcadeModel {
     builder.build().unwrap()
 }
 
-fn options(spec: &ModelSpec, lumping: LumpingMode) -> ComposerOptions {
+fn options(lumping: LumpingMode) -> ComposerOptions {
     ComposerOptions {
         lumping,
-        queue_encoding: spec.queue_encoding,
         ..Default::default()
     }
 }
 
-fn flat_and_compositional<'a>(
-    model: &'a ArcadeModel,
-    spec: &ModelSpec,
-) -> (Analysis<'a>, Analysis<'a>) {
-    let flat = CompiledModel::compile_with(model, options(spec, LumpingMode::Disabled)).unwrap();
+fn flat_and_compositional(model: &ArcadeModel) -> (Analysis<'_>, Analysis<'_>) {
+    let flat = CompiledModel::compile_with(model, options(LumpingMode::Disabled)).unwrap();
     let compositional =
-        CompiledModel::compile_with(model, options(spec, LumpingMode::Compositional)).unwrap();
+        CompiledModel::compile_with(model, options(LumpingMode::Compositional)).unwrap();
     (
         Analysis::from_compiled(model, flat),
         Analysis::from_compiled(model, compositional),
@@ -134,7 +132,7 @@ proptest! {
     #[test]
     fn compositional_measures_match_the_flat_chain(spec in arbitrary_spec()) {
         let model = build_model(&spec);
-        let (flat, compositional) = flat_and_compositional(&model, &spec);
+        let (flat, compositional) = flat_and_compositional(&model);
 
         // Never more states than the flat exploration, and the final quotient
         // of the canonical chain is stable against it.
@@ -186,7 +184,7 @@ proptest! {
     #[test]
     fn compositional_survivability_and_disaster_costs_match(spec in arbitrary_spec()) {
         let model = build_model(&spec);
-        let (flat, compositional) = flat_and_compositional(&model, &spec);
+        let (flat, compositional) = flat_and_compositional(&model);
         let disaster = model.disaster("all").unwrap();
 
         for level in [0.5, 1.0] {
@@ -213,9 +211,9 @@ proptest! {
     fn final_quotients_coincide_with_the_flat_pipeline(spec in arbitrary_spec()) {
         let model = build_model(&spec);
         let exact =
-            CompiledModel::compile_with(&model, options(&spec, LumpingMode::Exact)).unwrap();
+            CompiledModel::compile_with(&model, options(LumpingMode::Exact)).unwrap();
         let compositional =
-            CompiledModel::compile_with(&model, options(&spec, LumpingMode::Compositional))
+            CompiledModel::compile_with(&model, options(LumpingMode::Compositional))
                 .unwrap();
         let exact_blocks = exact.lumped().unwrap().num_blocks();
         let comp_blocks = compositional.lumped().unwrap().num_blocks();

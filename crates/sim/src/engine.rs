@@ -4,9 +4,12 @@
 //! exponential failures and repairs, non-preemptive crew dispatch with
 //! strategy-dependent priorities and FCFS tie-breaking, and immediate spare
 //! activation — but advances a single sampled trajectory instead of building
-//! the full CTMC.
+//! the full CTMC. It keeps its own dispatch code, so it stays an independent
+//! reference, and implements only the non-preemptive disciplines.
 
-use arcade_core::{ArcadeError, ArcadeModel, ComponentStatus, Disaster, RepairStrategy};
+use arcade_core::{
+    ArcadeError, ArcadeModel, ComponentStatus, Disaster, QueueDiscipline, RepairStrategy,
+};
 use fault_tree::{FaultTree, ServiceTree};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -39,10 +42,26 @@ impl<'a> Trajectory<'a> {
     ///
     /// # Errors
     ///
+    /// Returns [`ArcadeError::UnsupportedMeasure`] if a repair unit is
+    /// [`QueueDiscipline::Preemptive`]: the engine dispatches
+    /// non-preemptively, and both non-preemptive disciplines dispatch alike.
     /// Returns [`ArcadeError::UnknownComponent`] if the model references
     /// undeclared components (cannot happen for models built through the
     /// validated builder).
     pub fn new(model: &'a ArcadeModel) -> Result<Self, ArcadeError> {
+        if let Some(ru) = model
+            .repair_units()
+            .iter()
+            .find(|ru| ru.discipline() == QueueDiscipline::Preemptive)
+        {
+            return Err(ArcadeError::UnsupportedMeasure {
+                reason: format!(
+                    "the flat simulator dispatches non-preemptively, but repair unit `{}` \
+                     is preemptive",
+                    ru.name()
+                ),
+            });
+        }
         let n = model.components().len();
         let component_names: Vec<String> = model
             .components()
@@ -379,6 +398,10 @@ mod tests {
     use rand::SeedableRng;
 
     fn pump_model() -> ArcadeModel {
+        pump_model_with(QueueDiscipline::default())
+    }
+
+    fn pump_model_with(discipline: QueueDiscipline) -> ArcadeModel {
         let structure = SystemStructure::new(StructureNode::component("pump"));
         ArcadeModel::builder("pump", structure)
             .component(
@@ -390,11 +413,26 @@ mod tests {
                 RepairUnit::new("ru", RepairStrategy::FirstComeFirstServe, 1)
                     .unwrap()
                     .responsible_for(["pump"])
-                    .with_idle_cost(1.0),
+                    .with_idle_cost(1.0)
+                    .with_discipline(discipline),
             )
             .disaster(Disaster::new("down", ["pump"]).unwrap())
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn preemptive_units_are_rejected() {
+        let model = pump_model_with(QueueDiscipline::Preemptive);
+        match Trajectory::new(&model) {
+            Err(ArcadeError::UnsupportedMeasure { reason }) => {
+                assert!(reason.contains("`ru`"), "{reason}")
+            }
+            other => panic!("expected UnsupportedMeasure, got {other:?}"),
+        }
+        // Both non-preemptive disciplines dispatch alike, so both are accepted.
+        assert!(Trajectory::new(&pump_model_with(QueueDiscipline::ArrivalOrder)).is_ok());
+        assert!(Trajectory::new(&pump_model()).is_ok());
     }
 
     #[test]

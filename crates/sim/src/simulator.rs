@@ -69,7 +69,8 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns an error if a trajectory cannot be prepared for the model.
+    /// Returns an error if a trajectory cannot be prepared for the model,
+    /// for instance when a repair unit is preemptive (see [`Trajectory::new`]).
     pub fn new(model: &'a ArcadeModel) -> Result<Self, ArcadeError> {
         // Fail fast on models the engine cannot handle.
         Trajectory::new(model)?;

@@ -12,11 +12,6 @@
 //!   repair-unit identity, dispatch priority, spare involvement). All Arcade
 //!   gates are symmetric functions of their children, so child codes are
 //!   sorted before hashing.
-//! * [`automorphism`] turns equal sibling codes into an explicit generator
-//!   set of the structure's automorphism group: each generator is a
-//!   *subtree swap* exchanging two isomorphic siblings leaf-by-leaf (in
-//!   canonical traversal order, so swapped leaves correspond under the
-//!   isomorphism).
 //! * [`orbit`] supplies the tuple-level orbit machinery for products of
 //!   interchangeable factors: canonical (sorted) tuples, orbit counting via
 //!   the multiset closed form, and deterministic representative enumeration.
@@ -36,12 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod automorphism;
 pub mod chain;
 pub mod code;
 pub mod orbit;
 
-pub use automorphism::{detect_automorphisms, StructureAutomorphisms, SubtreeSwap};
 pub use chain::{chain_presentation_code, chains_identical, group_identical_chains};
 pub use code::{subtree_code, CanonicalCode, LeafAttributes};
 pub use orbit::{canonical_tuple, for_each_multiset, orbit_count, FactorClasses};

@@ -283,10 +283,12 @@ fn sweep_strategies<R: Send>(
 /// the state space up, but the queueing counts do not yet match the paper.
 /// The paper's FRF/FFF state counts do not depend on the crew count; ours do
 /// (Line 1 FRF-1 has 111,809 states, FRF-2 has 178,606, the paper reports
-/// 111,809 for both), and every queueing transition count differs. The queue
-/// encoding is not the cause: [`arcade_core::QueueEncoding::ArrivalOrder`]
-/// widens the gap. Reconciling the repair-queue semantics is the open paper
-/// fidelity item on the ROADMAP.
+/// 111,809 for both), and every queueing transition count differs. Keeping
+/// the queue in arrival order is not the answer: under
+/// [`arcade_core::QueueDiscipline::ArrivalOrder`] flat Line 2 FRF-1 has
+/// 986,410 states against the paper's 8,129, and under
+/// [`arcade_core::QueueDiscipline::Preemptive`] it has 512. Reconciling the
+/// repair-queue semantics is the open paper fidelity item on the ROADMAP.
 ///
 /// # Errors
 ///

@@ -318,13 +318,12 @@ pub fn line_model_with_unit_scaled(
         .chain(pumps.iter())
         .cloned()
         .collect();
-    let mut repair_unit = RepairUnit::new(unit_name, spec.strategy.clone(), spec.crews)?
-        .responsible_for(all_names)
-        .with_idle_cost(IDLE_CREW_COST);
-    if spec.preemptive {
-        repair_unit = repair_unit.with_preemption();
-    }
-    builder = builder.repair_unit(repair_unit);
+    builder = builder.repair_unit(
+        RepairUnit::new(unit_name, spec.strategy.clone(), spec.crews)?
+            .responsible_for(all_names)
+            .with_idle_cost(IDLE_CREW_COST)
+            .with_discipline(spec.discipline),
+    );
 
     // Disaster 1: every pump of the line has failed.
     builder = builder.disaster(Disaster::new(DISASTER_ALL_PUMPS, pumps.clone())?);

@@ -1,10 +1,10 @@
 //! The repair-strategy catalogue compared in the paper.
 
-use arcade_core::RepairStrategy;
+use arcade_core::{QueueDiscipline, RepairStrategy};
 use serde::{Deserialize, Serialize};
 
-/// A named repair-strategy configuration (strategy plus crew count), e.g.
-/// `FRF-2` = fastest repair first with two crews.
+/// A named repair-strategy configuration (strategy, crew count and queue
+/// discipline), e.g. `FRF-2` = fastest repair first with two crews.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StrategySpec {
     /// Label used in tables and figures (`DED`, `FRF-1`, `FFF-2`, ...).
@@ -13,26 +13,26 @@ pub struct StrategySpec {
     pub strategy: RepairStrategy,
     /// Number of repair crews per repair unit.
     pub crews: usize,
-    /// Whether running repairs are preempted by higher-priority arrivals
-    /// (extension; the paper's strategies are non-preemptive).
+    /// How each repair unit queues and serves its failed components; the
+    /// paper's strategies use the default, non-preemptive discipline.
     #[serde(default)]
-    pub preemptive: bool,
+    pub discipline: QueueDiscipline,
 }
 
 impl StrategySpec {
-    /// Creates a (non-preemptive) strategy specification.
+    /// Creates a strategy specification with the default queue discipline.
     pub fn new(label: impl Into<String>, strategy: RepairStrategy, crews: usize) -> Self {
         StrategySpec {
             label: label.into(),
             strategy,
             crews,
-            preemptive: false,
+            discipline: QueueDiscipline::default(),
         }
     }
 
-    /// Marks this specification as preemptive.
-    pub fn preemptive(mut self) -> Self {
-        self.preemptive = true;
+    /// Sets the queue discipline; the label is kept as it is.
+    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Self {
+        self.discipline = discipline;
         self
     }
 }
@@ -80,7 +80,7 @@ pub fn frf_preemptive(crews: usize) -> StrategySpec {
         RepairStrategy::FastestRepairFirst,
         crews,
     )
-    .preemptive()
+    .with_discipline(QueueDiscipline::Preemptive)
 }
 
 /// Preemptive fastest failure first with the given number of crews (`FFF-kP`).
@@ -90,7 +90,7 @@ pub fn fff_preemptive(crews: usize) -> StrategySpec {
         RepairStrategy::FastestFailureFirst,
         crews,
     )
-    .preemptive()
+    .with_discipline(QueueDiscipline::Preemptive)
 }
 
 /// The five configurations evaluated throughout the paper:
@@ -139,8 +139,8 @@ mod tests {
     fn preemptive_variants_are_flagged_and_labelled() {
         let spec = frf_preemptive(2);
         assert_eq!(spec.label, "FRF-2P");
-        assert!(spec.preemptive);
-        assert!(!frf(2).preemptive);
-        assert!(fff_preemptive(1).preemptive);
+        assert_eq!(spec.discipline, QueueDiscipline::Preemptive);
+        assert_eq!(frf(2).discipline, QueueDiscipline::PriorityCanonical);
+        assert_eq!(fff_preemptive(1).discipline, QueueDiscipline::Preemptive);
     }
 }

@@ -7,7 +7,7 @@
 //! FNV-1a hash, so a change to the numbering, the transition order or any
 //! rate bit changes the pinned constant.
 
-use arcade_core::{CompiledModel, ComponentStatus, ComposerOptions, LumpingMode};
+use arcade_core::{CompiledModel, ComponentStatus, ComposerOptions, LumpingMode, QueueDiscipline};
 use watertreatment::{facility, strategies, Line, StrategySpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -96,4 +96,34 @@ fn canonical_line1_frf2_exploration_order_is_pinned() {
     let compiled = compile(Line::Line1, &strategies::frf(2), LumpingMode::Compositional);
     assert_eq!(compiled.stats().num_states, 727);
     assert_eq!(exploration_fingerprint(&compiled), 0x8972_7a20_f495_37c6);
+}
+
+/// The flat Line 2 FRF-2 chain under preemptive repair: 512 states, one per
+/// failed set, since a preemptive unit keeps no queue.
+#[test]
+fn flat_line2_frf2p_exploration_order_is_pinned() {
+    let compiled = compile(
+        Line::Line2,
+        &strategies::frf_preemptive(2),
+        LumpingMode::Disabled,
+    );
+    assert_eq!(compiled.stats().num_states, 512);
+    assert_eq!(compiled.stats().num_transitions, 3317);
+    assert_eq!(exploration_fingerprint(&compiled), 0xf685_b8d0_fd3f_21dc);
+}
+
+/// The canonical Line 2 FRF-1 chain with its queue kept in arrival order:
+/// 15,227 orbit representatives that lump to the same 257 blocks as the
+/// priority-sorted queue.
+#[test]
+fn canonical_line2_frf1_arrival_order_exploration_is_pinned() {
+    let compiled = compile(
+        Line::Line2,
+        &strategies::frf(1).with_discipline(QueueDiscipline::ArrivalOrder),
+        LumpingMode::Compositional,
+    );
+    assert_eq!(compiled.stats().num_states, 15_227);
+    assert_eq!(compiled.stats().num_transitions, 30_452);
+    assert_eq!(compiled.stats().lumped_states, Some(257));
+    assert_eq!(exploration_fingerprint(&compiled), 0x19d6_d658_4ff0_4d96);
 }
