@@ -190,8 +190,17 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
         if let Some(value) = element.attribute("dormancy") {
             component = component.with_dormancy_factor(parse_value(element, "dormancy", value)?);
         }
-        if element.attribute("initially-failed") == Some("true") {
-            component = component.initially_failed();
+        match element.attribute("initially-failed") {
+            None | Some("false") => {}
+            Some("true") => component = component.initially_failed(),
+            Some(other) => {
+                return Err(XmlError::Schema {
+                    message: format!(
+                        "component `{component_name}` has an invalid initially-failed value \
+                         `{other}` (expected true or false)"
+                    ),
+                })
+            }
         }
         builder = builder.component(component);
     }
@@ -522,6 +531,26 @@ mod tests {
                 from_xml(&text).unwrap().repair_units()[0].discipline(),
                 discipline
             );
+        }
+    }
+
+    #[test]
+    fn initially_failed_accepts_only_true_or_false() {
+        let document = |value: &str| {
+            format!(
+                r#"<arcade-model name="x">
+                <components><component name="a" mttf="10" mttr="1" initially-failed="{value}"/>
+                </components>
+                <structure><component ref="a"/></structure>
+            </arcade-model>"#
+            )
+        };
+        let message = schema_message(&document("yes"));
+        assert!(message.contains("component `a`"), "{message}");
+        assert!(message.contains("initially-failed"), "{message}");
+        for (value, failed) in [("true", true), ("false", false)] {
+            let model = from_xml(&document(value)).unwrap();
+            assert_eq!(model.components()[0].is_initially_failed(), failed);
         }
     }
 

@@ -26,15 +26,12 @@ fn bench_survivability_sweep(c: &mut Criterion) {
 
     // The sweep is deterministic: every thread count must reproduce the
     // serial curves exactly before it is worth timing.
-    let (reference, _) =
-        experiments::fig8_9_survivability_line2_with(&times, ExecOptions::serial())
-            .expect("paper sweep runs");
-    for threads in THREAD_COUNTS {
-        let (fig8, _) = experiments::fig8_9_survivability_line2_with(
-            &times,
-            ExecOptions::with_threads(threads),
-        )
+    let (reference, _) = experiments::fig8_9_survivability_line2(&times, ExecOptions::serial())
         .expect("paper sweep runs");
+    for threads in THREAD_COUNTS {
+        let (fig8, _) =
+            experiments::fig8_9_survivability_line2(&times, ExecOptions::with_threads(threads))
+                .expect("paper sweep runs");
         assert_eq!(
             fig8, reference,
             "sweep must not depend on {threads} threads"
@@ -46,11 +43,8 @@ fn bench_survivability_sweep(c: &mut Criterion) {
     for threads in THREAD_COUNTS {
         group.bench_function(format!("fig8_9_sweep/threads_{threads}"), |b| {
             b.iter(|| {
-                experiments::fig8_9_survivability_line2_with(
-                    &times,
-                    ExecOptions::with_threads(threads),
-                )
-                .unwrap()
+                experiments::fig8_9_survivability_line2(&times, ExecOptions::with_threads(threads))
+                    .unwrap()
             })
         });
     }

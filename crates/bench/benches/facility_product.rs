@@ -6,7 +6,7 @@
 //!   the `QuotientProduct` and materialise the joint FRF-1 × FRF-1 chain
 //!   (449 × 257 = 115,393 blocks, ≈ 1.2M transitions) through the sharded
 //!   row enumeration;
-//! * **availability** — the `table_facility_with` validation solve: per-line
+//! * **availability** — the `table_facility` validation solve: per-line
 //!   availabilities, the product form, and the genuine joint-chain
 //!   stationary solve (warm started, residual-certified).
 //!
@@ -74,10 +74,9 @@ fn bench_product_construction(c: &mut Criterion) {
 fn bench_joint_availability(c: &mut Criterion) {
     // Determinism gate for the full validation solve.
     let pair = [(strategies::frf(1), strategies::frf(1))];
-    let reference = experiments::table_facility_with(&pair, ExecOptions::with_threads(1)).unwrap();
+    let reference = experiments::table_facility(&pair, ExecOptions::with_threads(1)).unwrap();
     for threads in THREAD_COUNTS {
-        let rows =
-            experiments::table_facility_with(&pair, ExecOptions::with_threads(threads)).unwrap();
+        let rows = experiments::table_facility(&pair, ExecOptions::with_threads(threads)).unwrap();
         assert_eq!(rows, reference, "solve at {threads} threads");
         assert!(rows[0].difference <= 1e-9);
     }
@@ -87,7 +86,7 @@ fn bench_joint_availability(c: &mut Criterion) {
     for threads in THREAD_COUNTS {
         group.bench_function(format!("table_facility_frf1/threads_{threads}"), |b| {
             b.iter(|| {
-                experiments::table_facility_with(&pair, ExecOptions::with_threads(threads)).unwrap()
+                experiments::table_facility(&pair, ExecOptions::with_threads(threads)).unwrap()
             })
         });
     }

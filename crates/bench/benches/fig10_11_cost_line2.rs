@@ -1,14 +1,15 @@
 //! Figs. 10 and 11: instantaneous and accumulated repair cost of Line 2 after
 //! Disaster 2, for FFF-1 / FFF-2 / FRF-1 / FRF-2.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::{self, grids};
 use watertreatment::{facility, strategies, Line};
 
 fn regenerate_and_bench(c: &mut Criterion) {
-    let (fig10, fig11) = experiments::fig10_11_cost_line2(&grids::step_grid(0.0, 50.0, 2.5))
-        .expect("figs 10-11 regenerate");
+    let (fig10, fig11) =
+        experiments::fig10_11_cost_line2(&grids::step_grid(0.0, 50.0, 2.5), ExecOptions::default())
+            .expect("figs 10-11 regenerate");
     wt_bench::print_figure(&fig10);
     wt_bench::print_figure(&fig11);
 

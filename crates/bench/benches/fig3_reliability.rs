@@ -1,13 +1,17 @@
 //! Fig. 3: reliability of both process lines over the mission time.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::{self, grids};
 use watertreatment::{facility, strategies, Line};
 
 fn regenerate_and_bench(c: &mut Criterion) {
-    let figure = experiments::fig3_reliability(&grids::step_grid(0.0, 1000.0, 50.0))
-        .expect("fig 3 regenerates");
+    let figure = experiments::fig3_reliability(
+        &Line::both(),
+        &grids::step_grid(0.0, 1000.0, 50.0),
+        ExecOptions::default(),
+    )
+    .expect("fig 3 regenerates");
     wt_bench::print_figure(&figure);
 
     let mut group = c.benchmark_group("fig3_reliability");

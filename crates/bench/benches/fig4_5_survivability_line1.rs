@@ -1,7 +1,7 @@
 //! Figs. 4 and 5: survivability of Line 1 after Disaster 1 (all pumps failed),
 //! recovery to service intervals X1 and X2, for DED / FRF-1 / FRF-2.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::{self, grids, service_levels};
 use watertreatment::{facility, strategies, Line};
@@ -10,7 +10,8 @@ fn regenerate_and_bench(c: &mut Criterion) {
     // A coarser grid than `grids::fig4_to_6()` keeps the bench run short; the
     // full-resolution curves come from `wt-experiments fig4 fig5`.
     let grid = grids::step_grid(0.0, 4.5, 0.45);
-    let (fig4, fig5) = experiments::fig4_5_survivability_line1(&grid).expect("figs 4-5 regenerate");
+    let (fig4, fig5) = experiments::fig4_5_survivability_line1(&grid, ExecOptions::default())
+        .expect("figs 4-5 regenerate");
     wt_bench::print_figure(&fig4);
     wt_bench::print_figure(&fig5);
 

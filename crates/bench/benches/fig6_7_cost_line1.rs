@@ -1,7 +1,7 @@
 //! Figs. 6 and 7: instantaneous and accumulated repair cost of Line 1 after
 //! Disaster 1, for DED / FRF-1 / FRF-2.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::{self, grids};
 use watertreatment::{facility, strategies, Line};
@@ -12,6 +12,7 @@ fn regenerate_and_bench(c: &mut Criterion) {
     let (fig6, fig7) = experiments::fig6_7_cost_line1(
         &grids::step_grid(0.0, 4.5, 0.45),
         &grids::step_grid(0.0, 10.0, 1.0),
+        ExecOptions::default(),
     )
     .expect("figs 6-7 regenerate");
     wt_bench::print_figure(&fig6);

@@ -1,14 +1,17 @@
 //! Figs. 8 and 9: survivability of Line 2 after Disaster 2, recovery to
 //! service intervals X1 and X3, for all five strategies.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::{self, grids, service_levels};
 use watertreatment::{facility, strategies, Line};
 
 fn regenerate_and_bench(c: &mut Criterion) {
-    let (fig8, fig9) = experiments::fig8_9_survivability_line2(&grids::step_grid(0.0, 100.0, 5.0))
-        .expect("figs 8-9 regenerate");
+    let (fig8, fig9) = experiments::fig8_9_survivability_line2(
+        &grids::step_grid(0.0, 100.0, 5.0),
+        ExecOptions::default(),
+    )
+    .expect("figs 8-9 regenerate");
     wt_bench::print_figure(&fig8);
     wt_bench::print_figure(&fig9);
 

@@ -3,12 +3,13 @@
 //! Regenerates the table (printed to stdout) and benchmarks the state-space
 //! composition itself for representative configurations.
 
-use arcade_core::{CompiledModel, ComposerOptions, LumpingMode};
+use arcade_core::{CompiledModel, ComposerOptions, ExecOptions, LumpingMode};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::{experiments, facility, strategies, Line};
 
 fn regenerate_and_bench(c: &mut Criterion) {
-    let rows = experiments::table1().expect("table 1 regenerates");
+    let rows = experiments::table1(&Line::both(), LumpingMode::Exact, ExecOptions::default())
+        .expect("table 1 regenerates");
     wt_bench::print_table(
         "Table 1 (state-space sizes)",
         &experiments::format_table1(&rows),

@@ -3,12 +3,13 @@
 //! Regenerates the table (printed to stdout) and benchmarks the steady-state
 //! solver on the Line 2 models.
 
-use arcade_core::Analysis;
+use arcade_core::{Analysis, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::{experiments, facility, strategies, Line};
 
 fn regenerate_and_bench(c: &mut Criterion) {
-    let rows = experiments::table2().expect("table 2 regenerates");
+    let rows =
+        experiments::table2(&Line::both(), ExecOptions::default()).expect("table 2 regenerates");
     wt_bench::print_table(
         "Table 2 (steady-state availability)",
         &experiments::format_table2(&rows),

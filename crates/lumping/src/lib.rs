@@ -97,4 +97,4 @@ pub use partition::InitialPartition;
 pub use product::{KroneckerSum, ProductOrbit, QuotientProduct};
 pub use quotient::LumpedCtmc;
 pub use refine::lump;
-pub use subchain::{canonical_roles, multiset_count, SubchainQuotient};
+pub use subchain::{canonical_roles, SubchainQuotient};

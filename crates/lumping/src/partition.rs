@@ -83,15 +83,6 @@ impl InitialPartition {
         self.refine_by_keys(values, |&v| (v + 0.0).to_bits())
     }
 
-    /// Splits classes so that states with different `usize` keys separate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LumpError::DimensionMismatch`] if `keys` has the wrong length.
-    pub fn refine_by_usize(&mut self, keys: &[usize]) -> Result<&mut Self, LumpError> {
-        self.refine_by_keys(keys, |&k| k as u64)
-    }
-
     fn refine_by_keys<T>(
         &mut self,
         values: &[T],

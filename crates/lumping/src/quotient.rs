@@ -121,11 +121,6 @@ impl LumpedCtmc {
         self.block_of[state]
     }
 
-    /// The block of every original state.
-    pub fn block_map(&self) -> &[usize] {
-        &self.block_of
-    }
-
     /// The member states of every block, sorted ascending.
     pub fn blocks(&self) -> &[Vec<usize>] {
         &self.blocks

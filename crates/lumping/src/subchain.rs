@@ -17,9 +17,10 @@
 //!   identified with the sorted multiset of its members' roles);
 //! * [`SubchainQuotient`] enumerates a family's local state space — the flat
 //!   role-vector count versus the multiset-block count — which is what the
-//!   per-line reduction breakdown of the composer's statistics reports;
-//! * [`multiset_count`] is the closed form `C(k + r - 1, r - 1)` for the
-//!   number of blocks of a `k`-member family over an `r`-symbol role alphabet.
+//!   per-line reduction breakdown of the composer's statistics reports. A
+//!   `k`-member family over an `r`-symbol role alphabet has
+//!   `C(k + r - 1, r - 1)` blocks, the orbit count of
+//!   [`arcade_symmetry::orbit_count`].
 //!
 //! # Interface-label preservation
 //!
@@ -32,6 +33,8 @@
 //! the members and therefore constant on each role multiset. The final exact
 //! lumping pass run on the composed quotient re-checks stability against the
 //! labels, which pins the guarantee in the test suites.
+
+use arcade_symmetry::orbit_count;
 
 /// Sorts a family's role vector into its canonical (ascending) order and
 /// returns the permutation that was applied: `order[i]` is the index of the
@@ -75,21 +78,6 @@ fn apply_permutation<K>(values: &mut [K], order: &[usize]) {
     }
 }
 
-/// Number of multisets of size `k` over an alphabet of `r` symbols:
-/// `C(k + r - 1, r - 1)`. This is the block count of a `k`-member family's
-/// sub-chain quotient when each member can hold one of `r` roles.
-pub fn multiset_count(k: usize, r: usize) -> usize {
-    if r == 0 {
-        return usize::from(k == 0);
-    }
-    // C(k + r - 1, r - 1), computed incrementally to stay exact.
-    let mut result: usize = 1;
-    for i in 0..r - 1 {
-        result = result.saturating_mul(k + i + 1) / (i + 1);
-    }
-    result
-}
-
 /// The local state space of one family's sub-chain: flat role vectors versus
 /// multiset quotient blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +116,9 @@ impl SubchainQuotient {
         result
     }
 
-    /// Number of quotient blocks: the multiset count.
+    /// Number of quotient blocks: the number of role multisets.
     pub fn blocks(&self) -> usize {
-        multiset_count(self.family_size, self.alphabet)
+        orbit_count(self.family_size, self.alphabet)
     }
 
     /// The quotient block of a local role vector: its rank among all sorted
@@ -155,7 +143,7 @@ impl SubchainQuotient {
             for smaller in previous..role {
                 // Vectors matching `sorted` up to position i, holding `smaller`
                 // there, and continuing with any non-decreasing tail.
-                rank += multiset_count(self.family_size - i - 1, self.alphabet - smaller as usize);
+                rank += orbit_count(self.family_size - i - 1, self.alphabet - smaller as usize);
             }
             previous = role;
         }
@@ -193,14 +181,15 @@ mod tests {
 
     #[test]
     fn multiset_counts_match_closed_forms() {
-        assert_eq!(multiset_count(0, 3), 1);
-        assert_eq!(multiset_count(3, 1), 1);
-        assert_eq!(multiset_count(1, 4), 4);
-        assert_eq!(multiset_count(2, 2), 3);
-        assert_eq!(multiset_count(3, 3), 10); // C(5, 2)
-        assert_eq!(multiset_count(4, 3), 15); // C(6, 2)
-        assert_eq!(multiset_count(0, 0), 1);
-        assert_eq!(multiset_count(2, 0), 0);
+        let blocks = |k, r| SubchainQuotient::new(k, r).blocks();
+        assert_eq!(blocks(0, 3), 1);
+        assert_eq!(blocks(3, 1), 1);
+        assert_eq!(blocks(1, 4), 4);
+        assert_eq!(blocks(2, 2), 3);
+        assert_eq!(blocks(3, 3), 10); // C(5, 2)
+        assert_eq!(blocks(4, 3), 15); // C(6, 2)
+        assert_eq!(blocks(0, 0), 1);
+        assert_eq!(blocks(2, 0), 0);
     }
 
     #[test]

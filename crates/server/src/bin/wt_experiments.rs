@@ -65,13 +65,20 @@
 //!
 //! `--json` prints every requested table and figure as one JSON document per
 //! experiment instead of the text rendering. `query` replies are always the
-//! daemon's JSON payload, one document per line.
+//! daemon's JSON payload, one document per line. `--trace` writes the
+//! recorder through `Json::chrome_trace`, the server crate's JSON writer.
+//!
+//! The experiments are the entries of one list, `EXPERIMENTS`, which `all`
+//! runs in this order: `table1`, `table2`, `facility`, `fig3`, `fig4`+`fig5`,
+//! `fig6`+`fig7`, `fig8`+`fig9`, `fig10`+`fig11` (a pair is one run). An
+//! unknown name, a malformed flag value or a subcommand after a flag
+//! (`serve`, `query` and `simulate` come first) is a usage error: exit
+//! status 2, nothing on stdout.
 
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use arcade_core::ExecOptions;
+use arcade_core::{ArcadeError, ExecOptions, LumpingMode};
 use arcade_server::{
     server, AnalysisService, Client, CostKind, Json, QueryOp, Request, Response, SimMeasure,
     StatsSnapshot,
@@ -83,29 +90,148 @@ use watertreatment::experiments::{
 };
 use watertreatment::{Line, LineSelection, ModelSpec};
 
-const USAGE: &str = "usage: wt-experiments [--trace FILE] [--threads N] [--line I0,I1|all] \
-     [--symmetric-only] \
-     [--json] [all|table1|table2|facility|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11]...\n\
-     |  wt-experiments facility [--k K0,K1,..] [--strategy S] [--lines S0,S1,..] \
-     [--threads N] [--json]\n\
-     |  wt-experiments simulate MODEL [--measure unavailability|ttf|cost] [--disaster D] \
-     [--horizon H] [--replications N] [--seed S] [--bias B] [--alpha A] [--threads N] [--json]\n\
-     |  wt-experiments serve [--port N] [--threads N] [--cache-cap N] [--trace-dir DIR]\n\
-     |  wt-experiments query [--port N] [--json] \
-     <ping|stats|metrics|shutdown|availability MODEL|simulate MODEL|\
-survivability MODEL DISASTER LEVEL T0,T1,..|\
-cost instantaneous|accumulated MODEL DISASTER|- T0,T1,..>";
-
 const DEFAULT_PORT: u16 = 7411;
 
+/// What the experiment runner reads from the command line besides the
+/// experiment names.
+struct Settings {
+    exec: ExecOptions,
+    lines: Vec<Line>,
+    symmetric_only: bool,
+    /// Registry specs of the `facility --k` / `--lines` ladder; empty runs
+    /// the paper's strategy pairs.
+    ladder: Vec<String>,
+}
+
+/// One printed result of an experiment, in both renderings.
+struct Doc {
+    /// The experiment name that prints it (`fig5` of the Figs. 4–5 entry).
+    name: String,
+    json: Json,
+    /// The text rendering, trailing blank line included.
+    text: String,
+}
+
+impl Doc {
+    fn print(&self, json: bool) {
+        if json {
+            println!("{}", self.json);
+        } else {
+            print!("{}", self.text);
+        }
+    }
+}
+
+/// One entry of [`EXPERIMENTS`].
+struct Experiment {
+    /// The names that select it. One run serves them all: Figs. 4 and 5
+    /// share their compilations.
+    names: &'static [&'static str],
+    /// The lines it needs; unless `--line` selects all of them, a skip note
+    /// is printed instead.
+    needs: &'static [Line],
+    /// Runs it, returning one document per name.
+    run: fn(&Settings) -> Result<Vec<Doc>, ArcadeError>,
+}
+
+/// Every experiment, in the order `all` runs them. Name checking, `all`,
+/// `--line` skipping and `--json` all read this list.
+const EXPERIMENTS: [Experiment; 8] = [
+    Experiment {
+        names: &["table1"],
+        needs: &[],
+        run: table1,
+    },
+    Experiment {
+        names: &["table2"],
+        needs: &[],
+        run: table2,
+    },
+    Experiment {
+        names: &["facility"],
+        needs: &[Line::Line1, Line::Line2],
+        run: facility,
+    },
+    Experiment {
+        names: &["fig3"],
+        needs: &[],
+        run: |settings| {
+            let figure =
+                experiments::fig3_reliability(&settings.lines, &grids::fig3(), settings.exec)?;
+            Ok(vec![figure_doc(&figure)])
+        },
+    },
+    Experiment {
+        names: &["fig4", "fig5"],
+        needs: &[Line::Line1],
+        run: |settings| {
+            let times = grids::fig4_to_6();
+            let figures = experiments::fig4_5_survivability_line1(&times, settings.exec)?;
+            Ok(figure_docs(figures))
+        },
+    },
+    Experiment {
+        names: &["fig6", "fig7"],
+        needs: &[Line::Line1],
+        run: |settings| {
+            let (instantaneous, accumulated) = (grids::fig4_to_6(), grids::fig7());
+            let figures =
+                experiments::fig6_7_cost_line1(&instantaneous, &accumulated, settings.exec)?;
+            Ok(figure_docs(figures))
+        },
+    },
+    Experiment {
+        names: &["fig8", "fig9"],
+        needs: &[Line::Line2],
+        run: |settings| {
+            let times = grids::fig8_9();
+            let figures = experiments::fig8_9_survivability_line2(&times, settings.exec)?;
+            Ok(figure_docs(figures))
+        },
+    },
+    Experiment {
+        names: &["fig10", "fig11"],
+        needs: &[Line::Line2],
+        run: |settings| {
+            let times = grids::fig10_11();
+            let figures = experiments::fig10_11_cost_line2(&times, settings.exec)?;
+            Ok(figure_docs(figures))
+        },
+    },
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.names.to_vec()).collect();
+    format!(
+        "usage: wt-experiments [--trace FILE] [--threads N] [--line I0,I1|all] \
+         [--symmetric-only] [--json] [all|{}]...\n\
+         |  wt-experiments facility [--k K0,K1,..] [--strategy S] [--lines S0,S1,..] \
+         [--threads N] [--json]\n\
+         |  wt-experiments simulate MODEL [--measure unavailability|ttf|cost] [--disaster D] \
+         [--horizon H] [--replications N] [--seed S] [--bias B] [--alpha A] [--threads N] \
+         [--json]\n\
+         |  wt-experiments serve [--port N] [--threads N] [--cache-cap N] [--trace-dir DIR]\n\
+         |  wt-experiments query [--port N] [--json] \
+         <ping|stats|metrics|shutdown|availability MODEL|simulate MODEL|\
+         survivability MODEL DISASTER LEVEL T0,T1,..|\
+         cost instantaneous|accumulated MODEL DISASTER|- T0,T1,..>",
+        names.join("|")
+    )
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--trace FILE` wraps any subcommand: install a process-global recorder
     // (spans + probes), run the command, write the Chrome-trace JSON.
-    let trace_file = match extract_trace_flag(&mut args) {
-        Ok(path) => path,
-        Err(message) => return usage_error(&message),
-    };
+    let given: Vec<String> = std::env::args().skip(1).collect();
+    let (mut args, mut trace_file) = (Vec::new(), None);
+    let mut rest = given.iter();
+    while let Some(arg) = rest.next() {
+        match flag(arg, "--trace", &mut rest, |v| Some(v.to_string())) {
+            Ok(Some(path)) => trace_file = Some(path),
+            Ok(None) => args.push(arg.clone()),
+            Err(message) => return usage_error(&message),
+        }
+    }
     let recorder = trace_file.as_ref().map(|_| {
         let recorder = Recorder::with_probes();
         Recorder::install_global(recorder.clone());
@@ -116,9 +242,10 @@ fn main() -> ExitCode {
         Some("query") => query_main(&args[1..]),
         Some("simulate") => simulate_main(&args[1..]),
         _ => experiments_main(&args),
-    };
+    }
+    .unwrap_or_else(|message| usage_error(&message));
     if let (Some(path), Some(recorder)) = (trace_file, recorder) {
-        match std::fs::write(&path, recorder.chrome_trace()) {
+        match std::fs::write(&path, Json::chrome_trace(&recorder).to_string()) {
             Ok(()) => eprintln!(
                 "trace: {} spans written to {path} (chrome://tracing, Perfetto)",
                 recorder.spans().len()
@@ -132,70 +259,28 @@ fn main() -> ExitCode {
     code
 }
 
-/// Removes `--trace FILE` / `--trace=FILE` from `args`, returning the file.
-fn extract_trace_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    let Some(position) = args
-        .iter()
-        .position(|arg| arg == "--trace" || arg.starts_with("--trace="))
-    else {
-        return Ok(None);
-    };
-    let arg = args.remove(position);
-    if let Some(value) = arg.strip_prefix("--trace=") {
-        return Ok(Some(value.to_string()));
-    }
-    if position < args.len() {
-        return Ok(Some(args.remove(position)));
-    }
-    Err("--trace expects a file path".to_string())
-}
-
 /// `serve [--port N] [--threads N] [--cache-cap N] [--trace-dir DIR]`: run
 /// the daemon in the foreground. `--cache-cap` bounds the quotient cache to
 /// N spec keys with least-recently-used eviction (unbounded by default);
 /// `--trace-dir` turns on the flight recorder (a bounded ring of per-query
 /// Chrome-trace files, query ids echoed in replies).
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(args: &[String]) -> Result<ExitCode, String> {
     let mut port = DEFAULT_PORT;
     let mut exec = ExecOptions::default();
     let mut cache_cap: Option<usize> = None;
     let mut trace_dir: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(result) = flag_value(arg, "--port", &mut iter) {
-            match result.and_then(|value| {
-                value
-                    .parse::<u16>()
-                    .map_err(|_| format!("invalid --port value `{value}`"))
-            }) {
-                Ok(p) => port = p,
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(arg, "--threads", &mut iter) {
-            match result.and_then(|value| {
-                value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --threads value `{value}`"))
-            }) {
-                Ok(threads) => exec = ExecOptions::with_threads(threads),
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(arg, "--cache-cap", &mut iter) {
-            match result.and_then(|value| {
-                value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --cache-cap value `{value}`"))
-            }) {
-                Ok(cap) => cache_cap = Some(cap),
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(arg, "--trace-dir", &mut iter) {
-            match result {
-                Ok(dir) => trace_dir = Some(dir),
-                Err(message) => return usage_error(&message),
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Some(value) = flag(arg, "--port", &mut rest, |v| v.parse().ok())? {
+            port = value;
+        } else if let Some(threads) = flag(arg, "--threads", &mut rest, |v| v.parse().ok())? {
+            exec = ExecOptions::with_threads(threads);
+        } else if let Some(cap) = flag(arg, "--cache-cap", &mut rest, |v| v.parse().ok())? {
+            cache_cap = Some(cap);
+        } else if let Some(dir) = flag(arg, "--trace-dir", &mut rest, |v| Some(v.to_string()))? {
+            trace_dir = Some(dir);
         } else {
-            return usage_error(&format!("unknown serve option `{arg}`"));
+            return Err(format!("unknown serve option `{arg}`"));
         }
     }
     let mut service = match cache_cap {
@@ -211,7 +296,7 @@ fn serve_main(args: &[String]) -> ExitCode {
         Ok(handle) => handle,
         Err(err) => {
             eprintln!("cannot bind 127.0.0.1:{port}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("wt-experiments daemon listening on {}", handle.addr());
@@ -221,49 +306,39 @@ fn serve_main(args: &[String]) -> ExitCode {
     );
     handle.join_until_shutdown();
     println!("daemon stopped");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `query [--port N] [--json] <op> [args...]`: one request. Most ops print
 /// the JSON payload; `stats` renders a counter/latency table and `metrics`
 /// prints the Prometheus text unless `--json` asks for the raw payload.
-fn query_main(args: &[String]) -> ExitCode {
+fn query_main(args: &[String]) -> Result<ExitCode, String> {
     let mut port = DEFAULT_PORT;
     let mut json = false;
-    let mut rest: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(result) = flag_value(arg, "--port", &mut iter) {
-            match result.and_then(|value| {
-                value
-                    .parse::<u16>()
-                    .map_err(|_| format!("invalid --port value `{value}`"))
-            }) {
-                Ok(p) => port = p,
-                Err(message) => return usage_error(&message),
-            }
+    let mut words: Vec<&String> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Some(value) = flag(arg, "--port", &mut rest, |v| v.parse().ok())? {
+            port = value;
         } else if arg == "--json" {
             json = true;
         } else {
-            rest.push(arg);
+            words.push(arg);
         }
     }
-    let request = match parse_query(&rest) {
-        Ok(request) => request,
-        Err(message) => return usage_error(&message),
-    };
+    let request = parse_query(&words)?;
     let mut client = match Client::connect(("127.0.0.1", port)) {
         Ok(client) => client,
         Err(err) => {
             eprintln!("cannot reach the daemon on 127.0.0.1:{port}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let payload = match client.request(&request) {
         Ok(payload) => payload,
         Err(err) => {
             eprintln!("query failed: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match request {
@@ -271,19 +346,19 @@ fn query_main(args: &[String]) -> ExitCode {
             Ok(snapshot) => print!("{}", format_stats(&snapshot)),
             Err(err) => {
                 eprintln!("malformed stats payload: {err}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
         Request::Metrics if !json => match payload.get("metrics").and_then(Json::as_str) {
             Some(text) => print!("{text}"),
             None => {
                 eprintln!("reply lacks a `metrics` text field: {payload}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
         _ => println!("{payload}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The human rendering of a stats snapshot: the scalar counters followed by
@@ -317,30 +392,20 @@ fn format_stats(snapshot: &StatsSnapshot) -> String {
         "op", "count", "p50(us)", "p90(us)", "p99(us)", "max(us)"
     ));
     let quantile = |value: Option<u64>| value.map_or("-".to_string(), |v| v.to_string());
-    for op in QueryOp::ALL {
-        let hist = snapshot.latency_of(op);
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9}\n",
-            op.name(),
-            snapshot.queries_of(op),
-            quantile(hist.p50()),
-            quantile(hist.p90()),
-            quantile(hist.p99()),
-            if hist.count > 0 {
-                hist.max.to_string()
-            } else {
-                "-".to_string()
-            },
-        ));
-    }
-    for (label, hist) in [
-        ("solve-iters", &snapshot.solve_iterations_hist),
-        ("sim-batches", &snapshot.replication_batches_hist),
-    ] {
+    let ops = QueryOp::ALL.map(|op| (op.name(), snapshot.queries_of(op), snapshot.latency_of(op)));
+    let (iterations, batches) = (
+        &snapshot.solve_iterations_hist,
+        &snapshot.replication_batches_hist,
+    );
+    let histograms = [
+        ("solve-iters", iterations.count, iterations),
+        ("sim-batches", batches.count, batches),
+    ];
+    for (label, count, hist) in ops.into_iter().chain(histograms) {
         out.push_str(&format!(
             "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9}\n",
             label,
-            hist.count,
+            count,
             quantile(hist.p50()),
             quantile(hist.p90()),
             quantile(hist.p99()),
@@ -361,7 +426,7 @@ fn format_stats(snapshot: &StatsSnapshot) -> String {
 /// The command drives the same [`AnalysisService::handle`] entry point as the
 /// daemon, so `--json` prints byte-for-byte the payload a daemon `simulate`
 /// query would return (the `json` module's f64 rendering is bit-exact).
-fn simulate_main(args: &[String]) -> ExitCode {
+fn simulate_main(args: &[String]) -> Result<ExitCode, String> {
     let mut model: Option<String> = None;
     let mut measure = SimMeasure::Unavailability;
     let mut disaster: Option<String> = None;
@@ -372,63 +437,37 @@ fn simulate_main(args: &[String]) -> ExitCode {
     let mut alpha = arcade_server::protocol::DEFAULT_SIM_ALPHA;
     let mut exec = ExecOptions::default();
     let mut json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        macro_rules! numeric_flag {
-            ($flag:literal, $target:ident, $ty:ty) => {
-                if let Some(result) = flag_value(arg, $flag, &mut iter) {
-                    match result.and_then(|value| {
-                        value
-                            .parse::<$ty>()
-                            .map_err(|_| format!(concat!("invalid ", $flag, " value `{}`"), value))
-                    }) {
-                        Ok(value) => $target = value,
-                        Err(message) => return usage_error(&message),
-                    }
-                    continue;
-                }
-            };
-        }
-        numeric_flag!("--horizon", horizon, f64);
-        numeric_flag!("--replications", replications, usize);
-        numeric_flag!("--seed", seed, u64);
-        numeric_flag!("--bias", bias, f64);
-        numeric_flag!("--alpha", alpha, f64);
-        if let Some(result) = flag_value(arg, "--measure", &mut iter) {
-            match result.and_then(|value| {
-                SimMeasure::parse(&value.to_lowercase())
-                    .ok_or_else(|| format!("invalid --measure value `{value}`"))
-            }) {
-                Ok(value) => measure = value,
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(arg, "--disaster", &mut iter) {
-            match result {
-                Ok(value) => disaster = Some(value),
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(arg, "--threads", &mut iter) {
-            match result.and_then(|value| {
-                value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --threads value `{value}`"))
-            }) {
-                Ok(threads) => exec = ExecOptions::with_threads(threads),
-                Err(message) => return usage_error(&message),
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Some(value) = flag(arg, "--horizon", &mut rest, |v| v.parse().ok())? {
+            horizon = value;
+        } else if let Some(value) = flag(arg, "--replications", &mut rest, |v| v.parse().ok())? {
+            replications = value;
+        } else if let Some(value) = flag(arg, "--seed", &mut rest, |v| v.parse().ok())? {
+            seed = value;
+        } else if let Some(value) = flag(arg, "--bias", &mut rest, |v| v.parse().ok())? {
+            bias = value;
+        } else if let Some(value) = flag(arg, "--alpha", &mut rest, |v| v.parse().ok())? {
+            alpha = value;
+        } else if let Some(value) = flag(arg, "--measure", &mut rest, |v| {
+            SimMeasure::parse(&v.to_lowercase())
+        })? {
+            measure = value;
+        } else if let Some(value) = flag(arg, "--disaster", &mut rest, |v| Some(v.to_string()))? {
+            disaster = Some(value);
+        } else if let Some(threads) = flag(arg, "--threads", &mut rest, |v| v.parse().ok())? {
+            exec = ExecOptions::with_threads(threads);
         } else if arg == "--json" {
             json = true;
         } else if arg.starts_with('-') {
-            return usage_error(&format!("unknown simulate option `{arg}`"));
+            return Err(format!("unknown simulate option `{arg}`"));
         } else if model.is_none() {
             model = Some(arg.clone());
         } else {
-            return usage_error(&format!("unexpected simulate argument `{arg}`"));
+            return Err(format!("unexpected simulate argument `{arg}`"));
         }
     }
-    let Some(model) = model else {
-        return usage_error("simulate needs a MODEL spec (e.g. line1/frf-1)");
-    };
+    let model = model.ok_or("simulate needs a MODEL spec (e.g. line1/frf-1)")?;
 
     let service = AnalysisService::new(exec);
     let request = Request::Simulate {
@@ -445,12 +484,12 @@ fn simulate_main(args: &[String]) -> ExitCode {
         Response::Ok(payload) => payload,
         Response::Err(err) => {
             eprintln!("simulate failed: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if json {
         println!("{payload}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let text = |name: &str| payload.get(name).map(|v| v.to_string()).unwrap_or_default();
     println!(
@@ -485,7 +524,7 @@ fn simulate_main(args: &[String]) -> ExitCode {
             text("lr_half_width"),
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn parse_query(words: &[&String]) -> Result<Request, String> {
@@ -540,507 +579,396 @@ fn parse_query(words: &[&String]) -> Result<Request, String> {
     }
 }
 
-/// Matches `--flag value` / `--flag=value`; advances `iter` for the spaced
-/// form. `Some(Err(..))` means the flag was present but valueless.
-fn flag_value(
+/// Reads flag `name` when `arg` is it, as `--name value` (the value taken
+/// from `rest`) or `--name=value`: `Ok(None)` when `arg` is another
+/// argument, an error naming the flag when the value is missing or `parse`
+/// rejects it.
+fn flag<T>(
     arg: &str,
-    flag: &str,
-    iter: &mut std::slice::Iter<'_, String>,
-) -> Option<Result<String, String>> {
-    if let Some(value) = arg.strip_prefix(flag) {
-        if let Some(value) = value.strip_prefix('=') {
-            return Some(Ok(value.to_string()));
-        }
-        if value.is_empty() {
-            return Some(match iter.next() {
-                Some(value) => Ok(value.clone()),
-                None => Err(format!("{flag} expects a value")),
-            });
-        }
-    }
-    None
+    name: &str,
+    rest: &mut std::slice::Iter<'_, String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(tail) = arg.strip_prefix(name) else {
+        return Ok(None);
+    };
+    let value = match tail.strip_prefix('=') {
+        Some(value) => value,
+        None if tail.is_empty() => rest
+            .next()
+            .ok_or_else(|| format!("{name} expects a value"))?,
+        None => return Ok(None),
+    };
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| format!("invalid {name} value `{value}`"))
 }
 
 fn usage_error(message: &str) -> ExitCode {
-    eprintln!("{message}\n{USAGE}");
+    eprintln!("{message}\n{}", usage());
     ExitCode::from(2)
 }
 
-/// Resolves a `--line` argument against the paper's two-line facility:
-/// arbitrary indices parse, but only indices the model actually has resolve.
-fn parse_line_selection(value: &str) -> Result<Vec<Line>, String> {
-    let selection = LineSelection::from_arg(value).ok_or_else(|| {
-        format!("invalid --line value `{value}` (expected indices like 1,2 or all)")
-    })?;
-    let indices = selection.resolve(Line::both().len())?;
-    Ok(indices
-        .into_iter()
-        .map(|index| Line::both()[index])
-        .collect())
-}
-
-fn experiments_main(args: &[String]) -> ExitCode {
-    let mut requested: BTreeSet<String> = BTreeSet::new();
-    let mut exec = ExecOptions::default();
-    let mut lines: Vec<Line> = Line::both().to_vec();
-    let mut symmetric_only = false;
+/// The experiment runner: `[--threads N] [--line ..] [--symmetric-only]
+/// [--json] [--k ..] [--lines ..] [--strategy S] NAME...`, case-insensitive.
+fn experiments_main(args: &[String]) -> Result<ExitCode, String> {
+    let args: Vec<String> = args.iter().map(|arg| arg.to_lowercase()).collect();
+    let mut settings = Settings {
+        exec: ExecOptions::default(),
+        lines: Line::both().to_vec(),
+        symmetric_only: false,
+        ladder: Vec::new(),
+    };
     let mut json = false;
-    let mut kline_ks: Vec<usize> = Vec::new();
-    let mut kline_lines: Vec<String> = Vec::new();
-    let mut kline_strategy = "ded".to_string();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let lower = arg.to_lowercase();
-        if let Some(value) = lower.strip_prefix("--threads=") {
-            match value.parse::<usize>() {
-                Ok(threads) => exec = ExecOptions::with_threads(threads),
-                Err(_) => return usage_error(&format!("invalid --threads value `{value}`")),
-            }
-        } else if lower == "--threads" {
-            match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(threads)) => exec = ExecOptions::with_threads(threads),
-                _ => return usage_error("--threads expects a number"),
-            }
-        } else if let Some(result) = flag_value(&lower, "--lines", &mut iter) {
-            match result {
-                Ok(value) => {
-                    kline_lines = value
-                        .to_lowercase()
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect()
-                }
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(&lower, "--line", &mut iter) {
-            match result.and_then(|value| parse_line_selection(&value.to_lowercase())) {
-                Ok(selection) => lines = selection,
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(&lower, "--k", &mut iter) {
-            let parsed = result.and_then(|value| {
-                value
-                    .split(',')
+    let mut requested: Vec<&str> = Vec::new();
+    let mut ks: Vec<usize> = Vec::new();
+    let mut bank: Vec<String> = Vec::new();
+    let mut strategy = "ded".to_string();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if let Some(threads) = flag(arg, "--threads", &mut rest, |v| v.parse().ok())? {
+            settings.exec = ExecOptions::with_threads(threads);
+        } else if let Some(selection) = flag(arg, "--line", &mut rest, LineSelection::from_arg)? {
+            let indices = selection.resolve(Line::both().len())?;
+            settings.lines = indices.into_iter().map(|i| Line::both()[i]).collect();
+        } else if let Some(lines) = flag(arg, "--lines", &mut rest, |v| {
+            Some(
+                v.split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("invalid --k value `{s}`"))
-                    })
-                    .collect::<Result<Vec<usize>, String>>()
-            });
-            match parsed {
-                Ok(ks) => kline_ks = ks,
-                Err(message) => return usage_error(&message),
-            }
-        } else if let Some(result) = flag_value(&lower, "--strategy", &mut iter) {
-            match result {
-                Ok(value) => kline_strategy = value.to_lowercase(),
-                Err(message) => return usage_error(&message),
-            }
-        } else if lower == "--symmetric-only" {
-            symmetric_only = true;
-        } else if lower == "--json" {
+                    .map(str::to_string)
+                    .collect(),
+            )
+        })? {
+            bank = lines;
+        } else if let Some(values) = flag(arg, "--k", &mut rest, |v| {
+            v.split(',')
+                .filter(|s| !s.is_empty())
+                .map(|k| k.trim().parse().ok())
+                .collect()
+        })? {
+            ks = values;
+        } else if let Some(name) = flag(arg, "--strategy", &mut rest, |v| Some(v.to_string()))? {
+            strategy = name;
+        } else if arg == "--symmetric-only" {
+            settings.symmetric_only = true;
+        } else if arg == "--json" {
             json = true;
-        } else if lower.starts_with('-') {
-            return usage_error(&format!("unknown option `{arg}`"));
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
         } else {
-            requested.insert(lower);
+            requested.push(arg);
         }
     }
-    if !kline_ks.is_empty() || !kline_lines.is_empty() {
-        if !requested.is_empty() && requested != BTreeSet::from(["facility".to_string()]) {
-            return usage_error("--k/--lines apply to the `facility` experiment only");
+    settings.ladder = ks
+        .iter()
+        .map(|k| format!("facility/{strategy}^{k}"))
+        .collect();
+    if !bank.is_empty() {
+        settings.ladder.push(format!("facility/{}", bank.join("+")));
+    }
+    if !settings.ladder.is_empty() {
+        if requested.iter().any(|&name| name != "facility") {
+            return Err("--k/--lines apply to the `facility` experiment only".to_string());
         }
-        if let Err(err) = run_kline(&kline_ks, &kline_lines, &kline_strategy, exec, json) {
-            eprintln!("experiment failed: {err}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        requested = vec!["facility"];
     }
     if requested.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return Err("name an experiment or a subcommand".to_string());
     }
-    let all = requested.contains("all");
-    let wants = |name: &str| all || requested.contains(name);
+    let known = |name: &str| {
+        name == "all"
+            || EXPERIMENTS
+                .iter()
+                .any(|experiment| experiment.names.contains(&name))
+    };
+    if let Some(unknown) = requested.iter().find(|name| !known(name)) {
+        return Err(format!("unknown experiment `{unknown}`"));
+    }
 
-    if let Err(err) = run(wants, exec, &lines, symmetric_only, json) {
-        eprintln!("experiment failed: {err}");
-        return ExitCode::FAILURE;
+    let all = requested.contains(&"all");
+    let wants = |name: &str| all || requested.contains(&name);
+    for experiment in &EXPERIMENTS {
+        if !experiment.names.iter().any(|name| wants(name)) {
+            continue;
+        }
+        if !experiment
+            .needs
+            .iter()
+            .all(|line| settings.lines.contains(line))
+        {
+            skip_note(experiment).print(json);
+            continue;
+        }
+        match (experiment.run)(&settings) {
+            Ok(docs) => docs
+                .iter()
+                .filter(|doc| wants(&doc.name))
+                .for_each(|doc| doc.print(json)),
+            Err(err) => {
+                eprintln!("experiment failed: {err}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The `facility --k ... / --lines ...` sweep: builds one registry spec per
-/// requested bank and prints the k-line reduction ladder.
-fn run_kline(
-    ks: &[usize],
-    line_strategies: &[String],
-    strategy: &str,
-    exec: ExecOptions,
-    json: bool,
-) -> Result<(), arcade_core::ArcadeError> {
-    let mut specs = Vec::new();
-    for &k in ks {
-        specs.push(ModelSpec::parse(&format!("facility/{strategy}^{k}"))?);
+/// The note printed in place of an experiment whose lines `--line`
+/// deselected.
+fn skip_note(experiment: &Experiment) -> Doc {
+    let name = experiment.names.join("/");
+    let needs = match experiment.needs {
+        [Line::Line1] => "line 1",
+        [Line::Line2] => "line 2",
+        _ => "both lines",
+    };
+    Doc {
+        json: Json::object(vec![
+            ("experiment", Json::from(name.as_str())),
+            ("skipped", Json::Bool(true)),
+            ("needs", Json::from(needs)),
+        ]),
+        text: format!("== {name}: skipped (needs {needs}; pass --line both) ==\n\n"),
+        name,
     }
-    if !line_strategies.is_empty() {
-        specs.push(ModelSpec::parse(&format!(
-            "facility/{}",
-            line_strategies.join("+")
-        ))?);
-    }
-    let rows = experiments::kline_reduction_table(&specs, exec)?;
-    if json {
-        println!(
-            "{}",
+}
+
+fn table1(settings: &Settings) -> Result<Vec<Doc>, ArcadeError> {
+    let (lines, exec) = (&settings.lines, settings.exec);
+    let measured = experiments::table1(lines, LumpingMode::Exact, exec)?;
+    let compositional = experiments::table1(lines, LumpingMode::Compositional, exec)?;
+    let reference = experiments::table1_paper_reference();
+    Ok(vec![Doc {
+        name: "table1".to_string(),
+        json: Json::object(vec![
+            ("experiment", Json::from("table1")),
+            ("measured", table1_json(&measured)),
+            ("paper_reference", table1_json(&reference)),
+            ("compositional", table1_json(&compositional)),
+        ]),
+        text: format!(
+            "== Table 1: state-space sizes (flat product, as the paper reports) ==\n{}\n\
+             -- paper reference --\n{}\n\
+             -- compositional pipeline (per-line sub-chains lumped before the product) --\n{}\n",
+            experiments::format_table1(&measured),
+            experiments::format_table1(&reference),
+            experiments::format_table1(&compositional),
+        ),
+    }])
+}
+
+fn table2(settings: &Settings) -> Result<Vec<Doc>, ArcadeError> {
+    let measured = experiments::table2(&settings.lines, settings.exec)?;
+    let reference = experiments::table2_paper_reference();
+    Ok(vec![Doc {
+        name: "table2".to_string(),
+        json: Json::object(vec![
+            ("experiment", Json::from("table2")),
+            ("measured", table2_json(&measured)),
+            ("paper_reference", table2_json(&reference)),
+        ]),
+        text: format!(
+            "== Table 2: steady-state availability ==\n{}\n-- paper reference --\n{}\n",
+            experiments::format_table2(&measured),
+            experiments::format_table2(&reference),
+        ),
+    }])
+}
+
+/// The `facility` experiment: the k-line reduction ladder when `--k` or
+/// `--lines` name banks, the symmetry report under `--symmetric-only`, else
+/// the paper's strategy pairs as one validation table and four figures.
+fn facility(settings: &Settings) -> Result<Vec<Doc>, ArcadeError> {
+    let exec = settings.exec;
+    let (json, text) = if !settings.ladder.is_empty() {
+        let specs = settings
+            .ladder
+            .iter()
+            .map(|spec| ModelSpec::parse(spec))
+            .collect::<Result<Vec<_>, _>>()?;
+        let rows = experiments::kline_reduction_table(&specs, exec)?;
+        (
             Json::object(vec![
                 ("experiment", Json::from("facility-kline")),
                 ("rows", kline_json(&rows)),
-            ])
-        );
+            ]),
+            format!(
+                "== Facility k-line reduction ladder: flat → product → orbit ==\n{}\n\
+                 Tiers: joint-solve runs the matrix-free Krylov solver (damped-Jacobi\n\
+                 fallback) on the Kronecker-sum operator; orbit-enumeration walks the sorted\n\
+                 multisets lazily under the product measure (the flat k-product is never\n\
+                 materialised); product-form reports counts and 1 - prod P(line down) only.\n\n",
+                experiments::format_kline_reduction(&rows)
+            ),
+        )
+    } else if settings.symmetric_only {
+        let rows = experiments::symmetry_reduction_table(exec)?;
+        (
+            Json::object(vec![
+                ("experiment", Json::from("facility-symmetry")),
+                ("rows", symmetry_json(&rows)),
+            ]),
+            format!(
+                "== Facility symmetry: orbit quotients of the symmetric strategy pairs ==\n{}\n\
+                 Paper pairs compose two *different* lines, so no cross-line symmetry\n\
+                 exists; the `Exact-min` column certifies their products minimal. The\n\
+                 twin facilities (two identical Line 2 copies) fold to n(n+1)/2 sorted\n\
+                 pairs before materialisation.\n\n",
+                experiments::format_symmetry_reduction(&rows)
+            ),
+        )
     } else {
-        println!("== Facility k-line reduction ladder: flat → product → orbit ==");
-        println!("{}", experiments::format_kline_reduction(&rows));
-        println!(
-            "Tiers: joint-solve runs the matrix-free Krylov solver (damped-Jacobi\n\
-             fallback) on the Kronecker-sum operator; orbit-enumeration walks the sorted\n\
-             multisets lazily under the product measure (the flat k-product is never\n\
-             materialised); product-form reports counts and 1 - prod P(line down) only.\n"
+        let suite = experiments::facility_suite(
+            &experiments::paired_strategies(),
+            &grids::fig4_to_6(),
+            &grids::fig4_to_6(),
+            &grids::fig7(),
+            exec,
+        )?;
+        let figures = [
+            &suite.recovery_full,
+            &suite.recovery_basic,
+            &suite.cost_instantaneous,
+            &suite.cost_accumulated,
+        ];
+        let mut text = format!(
+            "== Facility: combined availability, product form vs genuine joint chain ==\n{}\n",
+            experiments::format_table_facility(&suite.table)
         );
-    }
-    Ok(())
+        for figure in figures {
+            text.push_str(&figure_doc(figure).text);
+        }
+        (
+            Json::object(vec![
+                ("experiment", Json::from("facility")),
+                ("table", facility_table_json(&suite.table)),
+                ("recovery_full", figure_json(&suite.recovery_full)),
+                ("recovery_basic", figure_json(&suite.recovery_basic)),
+                ("cost_instantaneous", figure_json(&suite.cost_instantaneous)),
+                ("cost_accumulated", figure_json(&suite.cost_accumulated)),
+            ]),
+            text,
+        )
+    };
+    Ok(vec![Doc {
+        name: "facility".to_string(),
+        json,
+        text,
+    }])
 }
 
-fn run(
-    wants: impl Fn(&str) -> bool,
-    exec: ExecOptions,
-    lines: &[Line],
-    symmetric_only: bool,
-    json: bool,
-) -> Result<(), arcade_core::ArcadeError> {
-    let has = |line: Line| lines.contains(&line);
-    let both = has(Line::Line1) && has(Line::Line2);
-    let figure = |fig: &Figure| {
-        if json {
-            println!("{}", figure_json(fig));
-        } else {
-            println!("{}", experiments::format_figure(fig));
-        }
-    };
-    let skip = |name: &str, needed: &str| {
-        if json {
-            println!(
-                "{}",
-                Json::object(vec![
-                    ("experiment", Json::from(name)),
-                    ("skipped", Json::Bool(true)),
-                    ("needs", Json::from(needed)),
-                ])
-            );
-        } else {
-            println!("== {name}: skipped (needs {needed}; pass --line both) ==\n");
-        }
-    };
+fn figure_doc(figure: &Figure) -> Doc {
+    Doc {
+        name: figure.id.clone(),
+        json: figure_json(figure),
+        text: format!("{}\n", experiments::format_figure(figure)),
+    }
+}
 
-    if wants("table1") {
-        let measured = experiments::table1_lines_with(lines, exec)?;
-        let compositional = experiments::table1_compositional()?;
-        if json {
-            println!(
-                "{}",
-                Json::object(vec![
-                    ("experiment", Json::from("table1")),
-                    ("measured", table1_json(&measured)),
-                    (
-                        "paper_reference",
-                        table1_json(&experiments::table1_paper_reference()),
-                    ),
-                    ("compositional", table1_json(&compositional)),
-                ])
-            );
-        } else {
-            println!("== Table 1: state-space sizes (flat product, as the paper reports) ==");
-            println!("{}", experiments::format_table1(&measured));
-            println!("-- paper reference --");
-            println!(
-                "{}",
-                experiments::format_table1(&experiments::table1_paper_reference())
-            );
-            println!(
-                "-- compositional pipeline (per-line sub-chains lumped before the product) --"
-            );
-            println!("{}", experiments::format_table1(&compositional));
-        }
-    }
-    if wants("table2") {
-        let measured = experiments::table2_lines_with(lines, exec)?;
-        if json {
-            println!(
-                "{}",
-                Json::object(vec![
-                    ("experiment", Json::from("table2")),
-                    ("measured", table2_json(&measured)),
-                    (
-                        "paper_reference",
-                        table2_json(&experiments::table2_paper_reference()),
-                    ),
-                ])
-            );
-        } else {
-            println!("== Table 2: steady-state availability ==");
-            println!("{}", experiments::format_table2(&measured));
-            println!("-- paper reference --");
-            println!(
-                "{}",
-                experiments::format_table2(&experiments::table2_paper_reference())
-            );
-        }
-    }
-    if wants("facility") {
-        if both && symmetric_only {
-            let rows = experiments::symmetry_reduction_table(exec)?;
-            if json {
-                println!(
-                    "{}",
-                    Json::object(vec![
-                        ("experiment", Json::from("facility-symmetry")),
-                        ("rows", symmetry_json(&rows)),
-                    ])
-                );
-            } else {
-                println!(
-                    "== Facility symmetry: orbit quotients of the symmetric strategy pairs =="
-                );
-                println!("{}", experiments::format_symmetry_reduction(&rows));
-                println!(
-                    "Paper pairs compose two *different* lines, so no cross-line symmetry\n\
-                     exists; the `Exact-min` column certifies their products minimal. The\n\
-                     twin facilities (two identical Line 2 copies) fold to n(n+1)/2 sorted\n\
-                     pairs before materialisation.\n"
-                );
-            }
-        } else if both {
-            let suite = experiments::facility_suite_with(
-                &experiments::paired_strategies(),
-                &grids::fig4_to_6(),
-                &grids::fig4_to_6(),
-                &grids::fig7(),
-                exec,
-            )?;
-            if json {
-                println!(
-                    "{}",
-                    Json::object(vec![
-                        ("experiment", Json::from("facility")),
-                        ("table", facility_table_json(&suite.table)),
-                        ("recovery_full", figure_json(&suite.recovery_full)),
-                        ("recovery_basic", figure_json(&suite.recovery_basic)),
-                        ("cost_instantaneous", figure_json(&suite.cost_instantaneous)),
-                        ("cost_accumulated", figure_json(&suite.cost_accumulated)),
-                    ])
-                );
-            } else {
-                println!(
-                    "== Facility: combined availability, product form vs genuine joint chain =="
-                );
-                println!("{}", experiments::format_table_facility(&suite.table));
-                println!("{}", experiments::format_figure(&suite.recovery_full));
-                println!("{}", experiments::format_figure(&suite.recovery_basic));
-                println!("{}", experiments::format_figure(&suite.cost_instantaneous));
-                println!("{}", experiments::format_figure(&suite.cost_accumulated));
-            }
-        } else {
-            skip("facility", "both lines");
-        }
-    }
-    if wants("fig3") {
-        let fig = experiments::fig3_reliability_lines_with(lines, &grids::fig3(), exec)?;
-        figure(&fig);
-    }
-    if wants("fig4") || wants("fig5") {
-        if has(Line::Line1) {
-            let (fig4, fig5) =
-                experiments::fig4_5_survivability_line1_with(&grids::fig4_to_6(), exec)?;
-            if wants("fig4") {
-                figure(&fig4);
-            }
-            if wants("fig5") {
-                figure(&fig5);
-            }
-        } else {
-            skip("fig4/fig5", "line 1");
-        }
-    }
-    if wants("fig6") || wants("fig7") {
-        if has(Line::Line1) {
-            let (fig6, fig7) =
-                experiments::fig6_7_cost_line1_with(&grids::fig4_to_6(), &grids::fig7(), exec)?;
-            if wants("fig6") {
-                figure(&fig6);
-            }
-            if wants("fig7") {
-                figure(&fig7);
-            }
-        } else {
-            skip("fig6/fig7", "line 1");
-        }
-    }
-    if wants("fig8") || wants("fig9") {
-        if has(Line::Line2) {
-            let (fig8, fig9) =
-                experiments::fig8_9_survivability_line2_with(&grids::fig8_9(), exec)?;
-            if wants("fig8") {
-                figure(&fig8);
-            }
-            if wants("fig9") {
-                figure(&fig9);
-            }
-        } else {
-            skip("fig8/fig9", "line 2");
-        }
-    }
-    if wants("fig10") || wants("fig11") {
-        if has(Line::Line2) {
-            let (fig10, fig11) = experiments::fig10_11_cost_line2_with(&grids::fig10_11(), exec)?;
-            if wants("fig10") {
-                figure(&fig10);
-            }
-            if wants("fig11") {
-                figure(&fig11);
-            }
-        } else {
-            skip("fig10/fig11", "line 2");
-        }
-    }
-    Ok(())
+fn figure_docs((first, second): (Figure, Figure)) -> Vec<Doc> {
+    vec![figure_doc(&first), figure_doc(&second)]
+}
+
+/// A JSON array with one object per row.
+fn objects<T>(rows: &[T], fields: impl Fn(&T) -> Vec<(&str, Json)>) -> Json {
+    Json::Array(rows.iter().map(|row| Json::object(fields(row))).collect())
 }
 
 fn figure_json(figure: &Figure) -> Json {
+    let series = objects(&figure.series, |series| {
+        vec![
+            ("label", Json::from(series.label.as_str())),
+            ("points", Json::curve(&series.points)),
+        ]
+    });
     Json::object(vec![
         ("id", Json::from(figure.id.as_str())),
         ("title", Json::from(figure.title.as_str())),
         ("x_label", Json::from(figure.x_label.as_str())),
         ("y_label", Json::from(figure.y_label.as_str())),
-        (
-            "series",
-            Json::Array(
-                figure
-                    .series
-                    .iter()
-                    .map(|series| {
-                        Json::object(vec![
-                            ("label", Json::from(series.label.as_str())),
-                            ("points", Json::curve(&series.points)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("series", series),
     ])
 }
 
 fn table1_json(rows: &[Table1Row]) -> Json {
     let opt = |value: Option<usize>| value.map_or(Json::Null, Json::from);
-    Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("line", Json::from(row.line.id())),
-                    ("strategy", Json::from(row.strategy.as_str())),
-                    ("states", Json::from(row.states)),
-                    ("transitions", Json::from(row.transitions)),
-                    ("lumped_states", opt(row.lumped_states)),
-                    ("lumped_transitions", opt(row.lumped_transitions)),
-                ])
-            })
-            .collect(),
-    )
+    objects(rows, |row| {
+        vec![
+            ("line", Json::from(row.line.id())),
+            ("strategy", Json::from(row.strategy.as_str())),
+            ("states", Json::from(row.states)),
+            ("transitions", Json::from(row.transitions)),
+            ("lumped_states", opt(row.lumped_states)),
+            ("lumped_transitions", opt(row.lumped_transitions)),
+        ]
+    })
 }
 
 fn table2_json(rows: &[Table2Row]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("strategy", Json::from(row.strategy.as_str())),
-                    ("line1", Json::Number(row.line1)),
-                    ("line2", Json::Number(row.line2)),
-                    ("combined", Json::Number(row.combined)),
-                ])
-            })
-            .collect(),
-    )
+    objects(rows, |row| {
+        vec![
+            ("strategy", Json::from(row.strategy.as_str())),
+            ("line1", Json::Number(row.line1)),
+            ("line2", Json::Number(row.line2)),
+            ("combined", Json::Number(row.combined)),
+        ]
+    })
 }
 
 fn facility_table_json(rows: &[TableFacilityRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("pair", Json::from(row.pair.as_str())),
-                    ("line1", Json::Number(row.line1)),
-                    ("line2", Json::Number(row.line2)),
-                    ("combined", Json::Number(row.combined)),
-                    ("joint", Json::Number(row.joint)),
-                    ("difference", Json::Number(row.difference)),
-                    ("joint_blocks", Json::from(row.joint_blocks)),
-                    ("solved_blocks", Json::from(row.solved_blocks)),
-                    ("residual", Json::Number(row.residual)),
-                    ("solver_tier", Json::from(row.solver_tier.as_str())),
-                    ("iterations", Json::from(row.iterations)),
-                ])
-            })
-            .collect(),
-    )
+    objects(rows, |row| {
+        vec![
+            ("pair", Json::from(row.pair.as_str())),
+            ("line1", Json::Number(row.line1)),
+            ("line2", Json::Number(row.line2)),
+            ("combined", Json::Number(row.combined)),
+            ("joint", Json::Number(row.joint)),
+            ("difference", Json::Number(row.difference)),
+            ("joint_blocks", Json::from(row.joint_blocks)),
+            ("solved_blocks", Json::from(row.solved_blocks)),
+            ("residual", Json::Number(row.residual)),
+            ("solver_tier", Json::from(row.solver_tier.as_str())),
+            ("iterations", Json::from(row.iterations)),
+        ]
+    })
 }
 
 fn kline_json(rows: &[KLineReductionRow]) -> Json {
     let opt_count = |value: Option<usize>| value.map_or(Json::Null, Json::from);
     let opt_number = |value: Option<f64>| value.map_or(Json::Null, Json::Number);
-    Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("k", Json::from(row.k)),
-                    ("facility", Json::from(row.facility.as_str())),
-                    ("flat_states", Json::from(row.flat_states)),
-                    ("product_blocks", Json::from(row.product_blocks)),
-                    ("orbit_blocks", opt_count(row.orbit_blocks)),
-                    ("solved_blocks", opt_count(row.solved_blocks)),
-                    ("availability", Json::Number(row.availability)),
-                    ("joint_availability", opt_number(row.joint_availability)),
-                    ("certificate", opt_number(row.certificate)),
-                    ("tier", Json::from(row.tier.as_str())),
-                    (
-                        "solver",
-                        row.solver.as_deref().map_or(Json::Null, Json::from),
-                    ),
-                    ("iterations", opt_count(row.iterations)),
-                ])
-            })
-            .collect(),
-    )
+    objects(rows, |row| {
+        vec![
+            ("k", Json::from(row.k)),
+            ("facility", Json::from(row.facility.as_str())),
+            ("flat_states", Json::from(row.flat_states)),
+            ("product_blocks", Json::from(row.product_blocks)),
+            ("orbit_blocks", opt_count(row.orbit_blocks)),
+            ("solved_blocks", opt_count(row.solved_blocks)),
+            ("availability", Json::Number(row.availability)),
+            ("joint_availability", opt_number(row.joint_availability)),
+            ("certificate", opt_number(row.certificate)),
+            ("tier", Json::from(row.tier.as_str())),
+            (
+                "solver",
+                row.solver.as_deref().map_or(Json::Null, Json::from),
+            ),
+            ("iterations", opt_count(row.iterations)),
+        ]
+    })
 }
 
 fn symmetry_json(rows: &[SymmetryReductionRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("facility", Json::from(row.facility.as_str())),
-                    ("product_blocks", Json::from(row.product_blocks)),
-                    (
-                        "orbit_blocks",
-                        row.orbit_blocks.map_or(Json::Null, Json::from),
-                    ),
-                    ("solver_blocks", Json::from(row.solver_blocks)),
-                    ("exact_blocks", Json::from(row.exact_blocks)),
-                    ("reduction_factor", Json::Number(row.reduction_factor())),
-                ])
-            })
-            .collect(),
-    )
+    objects(rows, |row| {
+        vec![
+            ("facility", Json::from(row.facility.as_str())),
+            ("product_blocks", Json::from(row.product_blocks)),
+            (
+                "orbit_blocks",
+                row.orbit_blocks.map_or(Json::Null, Json::from),
+            ),
+            ("solver_blocks", Json::from(row.solver_blocks)),
+            ("exact_blocks", Json::from(row.exact_blocks)),
+            ("reduction_factor", Json::Number(row.reduction_factor())),
+        ]
+    })
 }

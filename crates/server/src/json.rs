@@ -1,4 +1,7 @@
-//! A minimal, dependency-free JSON tree: parser, writer and accessors.
+//! A minimal JSON tree: parser, writer and accessors. It is the workspace's
+//! one JSON writer: daemon replies, the CLI's `--json` output and the Chrome
+//! traces of a telemetry [`Recorder`] ([`Json::chrome_trace`]) all go
+//! through it.
 //!
 //! The vendored `serde` stub is a no-op marker trait (the build environment
 //! is offline), so the wire format is hand-rolled here. Two properties
@@ -21,6 +24,8 @@
 
 use std::fmt;
 use std::str::FromStr;
+
+use arcade_telemetry::Recorder;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The deepest
 /// document the protocol itself produces has 4 levels (envelope → result →
@@ -105,11 +110,6 @@ impl Json {
         }
     }
 
-    /// Whether this value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// An array of numbers from an `f64` slice.
     pub fn numbers(values: &[f64]) -> Json {
         Json::Array(values.iter().map(|&v| Json::Number(v)).collect())
@@ -123,6 +123,41 @@ impl Json {
                 .map(|&(t, v)| Json::Array(vec![Json::Number(t), Json::Number(v)]))
                 .collect(),
         )
+    }
+
+    /// The Chrome trace-event document of everything `recorder` captured:
+    /// one `X` complete event per span (same-thread spans nest by timing in
+    /// `chrome://tracing` / Perfetto), and every probe series under a
+    /// `probes` key, which trace viewers ignore.
+    pub fn chrome_trace(recorder: &Recorder) -> Json {
+        let events = recorder.spans().into_iter().map(|span| {
+            let args = span
+                .counters
+                .iter()
+                .map(|&(k, v)| (k.to_string(), Json::from(v)));
+            Json::object(vec![
+                ("name", Json::from(span.name)),
+                ("cat", Json::from("arcade")),
+                ("ph", Json::from("X")),
+                ("ts", Json::from(span.start_us)),
+                ("dur", Json::from(span.duration_us)),
+                ("pid", Json::from(1u64)),
+                ("tid", Json::from(span.thread)),
+                ("args", Json::Object(args.collect())),
+            ])
+        });
+        let probes = recorder.series().into_iter().map(|series| {
+            Json::object(vec![
+                ("kind", Json::from(series.kind)),
+                ("tier", Json::from(series.tier)),
+                ("values", Json::numbers(&series.values)),
+            ])
+        });
+        Json::object(vec![
+            ("displayTimeUnit", Json::from("ms")),
+            ("traceEvents", Json::Array(events.collect())),
+            ("probes", Json::Array(probes.collect())),
+        ])
     }
 
     /// Reads a `[[t, v], ...]` array back into a curve.
@@ -541,6 +576,7 @@ mod tests {
         let s = "a\"b\\c\nd\te\u{1}f — π 🦀";
         let text = Json::Str(s.to_string()).to_string();
         assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+        assert_eq!(Json::from("q\"b\\\u{1}").to_string(), r#""q\"b\\\u0001""#);
         assert_eq!(
             Json::parse(r#""\ud83e\udd80""#).unwrap().as_str(),
             Some("🦀")
@@ -580,6 +616,28 @@ mod tests {
     fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
         let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
         assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    }
+
+    #[test]
+    fn chrome_trace_has_the_expected_shape() {
+        let recorder = Recorder::with_probes();
+        {
+            let mut span = recorder.span("solve");
+            span.count("iterations", 42);
+            let mut probe = recorder.probe("residual", "gauss-seidel");
+            probe.record(1e-3);
+            probe.record(f64::INFINITY);
+        }
+        let trace = Json::chrome_trace(&recorder).to_string();
+        assert!(trace.starts_with('{') && trace.ends_with('}'));
+        assert!(trace.contains("\"traceEvents\":["));
+        assert!(trace.contains("\"name\":\"solve\""));
+        assert!(trace.contains("\"ph\":\"X\""));
+        assert!(trace.contains("\"iterations\":42"));
+        assert!(trace.contains("\"kind\":\"residual\""));
+        assert!(trace.contains("0.001"));
+        assert!(trace.contains("null"), "non-finite values become null");
+        assert!(!trace.contains('\n'), "one line, embeddable in NDJSON logs");
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl AnalysisService {
         let _ = std::fs::create_dir_all(dir);
         let _ = std::fs::write(
             dir.join(format!("query-{id:06}.json")),
-            recorder.chrome_trace(),
+            Json::chrome_trace(recorder).to_string(),
         );
         if id >= TRACE_RING {
             let _ = std::fs::remove_file(dir.join(format!("query-{:06}.json", id - TRACE_RING)));

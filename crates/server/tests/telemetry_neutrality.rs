@@ -134,7 +134,7 @@ fn traced_spans_agree_with_the_service_counters() {
 
     // The Chrome trace of the same recorder carries the solve span with its
     // iteration counter intact.
-    let trace = recorder.chrome_trace();
+    let trace = arcade_server::Json::chrome_trace(&recorder).to_string();
     let parsed = arcade_server::Json::parse(&trace).unwrap();
     let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
     let solve = events

@@ -6,9 +6,10 @@
 //! * **Span tracing** ([`Recorder`]/[`Span`]) — a cheap cloneable handle
 //!   that the compile → solve → simulate → serve layers report nested,
 //!   monotonically-timed spans into, each carrying domain counters (states,
-//!   blocks, iterations, operator applies, replications). A trace exports as
-//!   Chrome trace-event JSON ([`Recorder::chrome_trace`]) loadable in
-//!   `chrome://tracing` / Perfetto.
+//!   blocks, iterations, operator applies, replications). The server crate
+//!   renders a recorder as Chrome trace-event JSON (`Json::chrome_trace` in
+//!   `arcade-server`, its one JSON writer), loadable in `chrome://tracing` /
+//!   Perfetto.
 //! * **Convergence probes** ([`Probe`]/[`ProbeSeries`]) — an opt-in observer
 //!   the iterative solvers feed their per-iteration (or per-restart)
 //!   residual norms into, and the quotient simulator its per-batch

@@ -215,76 +215,6 @@ impl Recorder {
     pub fn span_count(&self, name: &str) -> usize {
         self.spans().iter().filter(|span| span.name == name).count()
     }
-
-    /// Exports the trace as Chrome trace-event JSON (the `traceEvents`
-    /// array of `X` complete events; same-thread spans nest by timing in
-    /// `chrome://tracing` / Perfetto). Probe series ride along under a
-    /// `probes` key, which trace viewers ignore.
-    pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, span) in self.spans().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"arcade\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{",
-                escape(span.name),
-                span.start_us,
-                span.duration_us,
-                span.thread,
-            ));
-            for (j, (key, value)) in span.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", escape(key), value));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"probes\":[");
-        for (i, series) in self.series().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"tier\":\"{}\",\"values\":[",
-                escape(series.kind),
-                escape(series.tier),
-            ));
-            for (j, value) in series.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_number(*value));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Formats a probe value as a JSON number (`null` for non-finite values,
-/// which JSON cannot carry).
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        // `{:?}` is the shortest representation that round-trips the bits.
-        format!("{value:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn escape(text: &str) -> String {
-    text.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 impl Drop for ScopeGuard {
@@ -489,34 +419,5 @@ mod tests {
         assert!(!Recorder::current().probes_enabled(), "inner scope popped");
         Recorder::current().span("scoped").count("n", 1);
         assert_eq!(outer.span_count("scoped"), 1);
-    }
-
-    #[test]
-    fn chrome_trace_has_the_expected_shape() {
-        let recorder = Recorder::with_probes();
-        {
-            let mut span = recorder.span("solve");
-            span.count("iterations", 42);
-            let mut probe = recorder.probe("residual", "gauss-seidel");
-            probe.record(1e-3);
-            probe.record(f64::INFINITY);
-        }
-        let trace = recorder.chrome_trace();
-        assert!(trace.starts_with('{') && trace.ends_with('}'));
-        assert!(trace.contains("\"traceEvents\":["));
-        assert!(trace.contains("\"name\":\"solve\""));
-        assert!(trace.contains("\"ph\":\"X\""));
-        assert!(trace.contains("\"iterations\":42"));
-        assert!(trace.contains("\"kind\":\"residual\""));
-        assert!(trace.contains("0.001"));
-        assert!(trace.contains("null"), "non-finite values become null");
-        assert!(!trace.contains('\n'), "one line, embeddable in NDJSON logs");
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control_characters() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("tab\there"), "tab\\u0009here");
     }
 }

@@ -1,14 +1,18 @@
 //! Experiment runners regenerating every table and figure of the paper.
 //!
-//! Each function reproduces one table or one pair of figures from the
-//! evaluation section of the DSN 2010 paper. The functions return structured
-//! data (rows or named series) so that the benchmark harness, the
-//! `wt-experiments` binary and the integration tests can all share them; the
-//! [`format_table1`]-style helpers render the same data as plain-text tables
-//! comparable to the paper.
+//! Each table and each pair of figures from the evaluation section of the
+//! DSN 2010 paper has exactly one public function: [`table1`], [`table2`],
+//! [`fig3_reliability`], [`fig4_5_survivability_line1`],
+//! [`fig6_7_cost_line1`], [`fig8_9_survivability_line2`] and
+//! [`fig10_11_cost_line2`], plus the reproduction's own facility experiments.
+//! Every one takes the worker pool, and those covering more than one line
+//! take the line selection too. They return structured data (rows or named
+//! series) so that the benchmarks, the `wt-experiments` binary and the
+//! integration tests share them; the [`format_table1`]-style helpers render
+//! the same data as plain-text tables comparable to the paper.
 
 use arcade_core::{
-    Analysis, ArcadeError, CompiledModel, ComposerOptions, ExecOptions, FacilityAnalysis,
+    Analysis, ArcadeError, CompiledModel, ComposerOptions, Disaster, ExecOptions, FacilityAnalysis,
     LumpingMode, Series,
 };
 use ctmc::exec;
@@ -271,13 +275,16 @@ fn sweep_strategies<R: Send>(
         .collect()
 }
 
-/// Reproduces **Table 1**: state-space sizes for every strategy and both lines.
+/// Reproduces **Table 1**: state-space sizes for every strategy on the
+/// selected lines, one composition per (line, strategy) cell swept across the
+/// worker pool (each composition is serial).
 ///
-/// The flat product sizes are what the paper's Table 1 reports, so this
-/// experiment explicitly materialises the flat chain with
-/// [`LumpingMode::Exact`]; the default analysis pipeline composes the
-/// per-family sub-chain quotients instead and never visits these state counts
-/// (see [`table1_compositional`]).
+/// Under [`LumpingMode::Exact`] the states column is the flat product the
+/// paper's Table 1 reports and the lumped columns give the exact quotient.
+/// Under [`LumpingMode::Compositional`], the default analysis pipeline, the
+/// flat chain is never materialised: the states column counts the canonical
+/// representatives actually explored (the composed per-family quotients) and
+/// the lumped columns the blocks after the final exact pass.
 ///
 /// The dedicated rows match the paper (`2^n` states) and FRF and FFF blow
 /// the state space up, but the queueing counts do not yet match the paper.
@@ -293,51 +300,10 @@ fn sweep_strategies<R: Send>(
 /// # Errors
 ///
 /// Propagates composition errors.
-pub fn table1() -> Result<Vec<Table1Row>, ArcadeError> {
-    table1_with(ExecOptions::default())
-}
-
-/// [`table1`] on an explicit worker pool: one flat composition per
-/// (line, strategy) cell, swept across workers; each composition is serial.
-///
-/// # Errors
-///
-/// Propagates composition errors.
-pub fn table1_with(exec: ExecOptions) -> Result<Vec<Table1Row>, ArcadeError> {
-    table1_rows(exec, LumpingMode::Exact)
-}
-
-/// Table 1 under the default compositional pipeline: the states column counts
-/// the canonical representatives actually explored (the composed per-family
-/// quotients), the lumped column the blocks after the final exact pass.
-///
-/// # Errors
-///
-/// Propagates composition errors.
-pub fn table1_compositional() -> Result<Vec<Table1Row>, ArcadeError> {
-    table1_rows(ExecOptions::default(), LumpingMode::Compositional)
-}
-
-/// [`table1`] restricted to a selection of lines (the CLI `--line` flag).
-///
-/// # Errors
-///
-/// Propagates composition errors.
-pub fn table1_lines_with(lines: &[Line], exec: ExecOptions) -> Result<Vec<Table1Row>, ArcadeError> {
-    table1_rows_for(lines, exec, LumpingMode::Exact)
-}
-
-/// Shared Table 1 runner: one composition per (line, strategy) cell under the
-/// given lumping mode, cells swept across the worker pool per line.
-fn table1_rows(exec: ExecOptions, lumping: LumpingMode) -> Result<Vec<Table1Row>, ArcadeError> {
-    table1_rows_for(&Line::both(), exec, lumping)
-}
-
-/// [`table1_rows`] over an explicit line selection.
-fn table1_rows_for(
+pub fn table1(
     lines: &[Line],
-    exec: ExecOptions,
     lumping: LumpingMode,
+    exec: ExecOptions,
 ) -> Result<Vec<Table1Row>, ArcadeError> {
     let mut rows = Vec::new();
     for &line in lines {
@@ -393,32 +359,14 @@ pub fn table1_paper_reference() -> Vec<Table1Row> {
 }
 
 /// Reproduces **Table 2**: steady-state availability per repair strategy for
-/// both lines and the combined facility.
+/// the selected lines and the combined facility, one availability task per
+/// strategy on the worker pool. Unselected line columns and, unless both
+/// lines are selected, the combined column are NaN (rendered as `-`).
 ///
 /// # Errors
 ///
 /// Propagates composition and steady-state solver errors.
-pub fn table2() -> Result<Vec<Table2Row>, ArcadeError> {
-    table2_with(ExecOptions::default())
-}
-
-/// [`table2`] on an explicit worker pool (one availability task per strategy).
-///
-/// # Errors
-///
-/// Propagates composition and steady-state solver errors.
-pub fn table2_with(exec: ExecOptions) -> Result<Vec<Table2Row>, ArcadeError> {
-    table2_lines_with(&Line::both(), exec)
-}
-
-/// [`table2`] restricted to a selection of lines (the CLI `--line` flag):
-/// unselected line columns and — unless both lines are selected — the
-/// combined column are reported as NaN and rendered as `-`.
-///
-/// # Errors
-///
-/// Propagates composition and steady-state solver errors.
-pub fn table2_lines_with(lines: &[Line], exec: ExecOptions) -> Result<Vec<Table2Row>, ArcadeError> {
+pub fn table2(lines: &[Line], exec: ExecOptions) -> Result<Vec<Table2Row>, ArcadeError> {
     sweep_strategies(&strategies::paper_strategies(), exec, |spec| {
         let mut availability = [f64::NAN; 2];
         for (i, line) in Line::both().into_iter().enumerate() {
@@ -462,7 +410,19 @@ pub fn table2_paper_reference() -> Vec<Table2Row> {
         .collect()
 }
 
-/// Reproduces **Fig. 3**: reliability of both lines over the mission time.
+/// A figure over time in hours.
+fn figure(id: &str, title: &str, y_label: &str, series: Vec<Series>) -> Figure {
+    Figure {
+        id: id.to_string(),
+        title: title.to_string(),
+        x_label: "t in hours".to_string(),
+        y_label: y_label.to_string(),
+        series,
+    }
+}
+
+/// Reproduces **Fig. 3**: reliability of the selected lines over the mission
+/// time, one curve per line on the worker pool.
 ///
 /// Reliability ignores repairs, so the dedicated model (smallest state space)
 /// is used for both lines.
@@ -470,26 +430,7 @@ pub fn table2_paper_reference() -> Vec<Table2Row> {
 /// # Errors
 ///
 /// Propagates composition and transient solver errors.
-pub fn fig3_reliability(times: &[f64]) -> Result<Figure, ArcadeError> {
-    fig3_reliability_with(times, ExecOptions::default())
-}
-
-/// [`fig3_reliability`] on an explicit worker pool (one curve per line).
-///
-/// # Errors
-///
-/// Propagates composition and transient solver errors.
-pub fn fig3_reliability_with(times: &[f64], exec: ExecOptions) -> Result<Figure, ArcadeError> {
-    fig3_reliability_lines_with(&Line::both(), times, exec)
-}
-
-/// [`fig3_reliability`] restricted to a selection of lines (the CLI `--line`
-/// flag): one reliability curve per selected line.
-///
-/// # Errors
-///
-/// Propagates composition and transient solver errors.
-pub fn fig3_reliability_lines_with(
+pub fn fig3_reliability(
     lines: &[Line],
     times: &[f64],
     exec: ExecOptions,
@@ -498,82 +439,94 @@ pub fn fig3_reliability_lines_with(
         let model = facility::line_model(line, &strategies::dedicated())?;
         let analysis = Analysis::with_options(&model, composer_options(exec))?;
         let points = analysis.reliability_curve(times)?;
+        let label = match line {
+            Line::Line1 => "Reliability line 1",
+            Line::Line2 => "Reliability line 2",
+        };
         Ok::<Series, ArcadeError>(Series {
-            label: format!(
-                "Reliability {}",
-                if line == Line::Line1 {
-                    "line 1"
-                } else {
-                    "line 2"
-                }
-            ),
+            label: label.to_string(),
             points,
         })
     })
     .into_iter()
     .collect::<Result<Vec<Series>, ArcadeError>>()?;
-    Ok(Figure {
-        id: "fig3".to_string(),
-        title: "Reliability over time".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
+    Ok(figure(
+        "fig3",
+        "Reliability over time",
+        "Probability (S)",
         series,
-    })
+    ))
+}
+
+/// The body every pair of Figs. 4–11 shares: one task per strategy on the
+/// worker pool compiles `line` under it and computes two curves after
+/// `disaster`. The first curves form the first figure and the second curves
+/// the second, one series per strategy; `labels` gives each figure's id,
+/// title and y-axis label.
+fn figure_pair(
+    line: Line,
+    specs: &[StrategySpec],
+    disaster: &str,
+    labels: [(&str, &str, &str); 2],
+    exec: ExecOptions,
+    curves: impl Fn(&Analysis, &Disaster) -> Result<[Vec<(f64, f64)>; 2], ArcadeError> + Sync,
+) -> Result<(Figure, Figure), ArcadeError> {
+    let pairs = sweep_strategies(specs, exec, |spec| {
+        let model = facility::line_model(line, spec)?;
+        let analysis = Analysis::with_options(&model, composer_options(exec))?;
+        let disaster = model
+            .disaster(disaster)
+            .expect("the paper defines its disasters on their lines");
+        let [first, second] = curves(&analysis, disaster)?;
+        let series = |points| Series {
+            label: spec.label.clone(),
+            points,
+        };
+        Ok((series(first), series(second)))
+    })?;
+    let (first, second): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
+    let [(id1, title1, y1), (id2, title2, y2)] = labels;
+    Ok((
+        figure(id1, title1, y1, first),
+        figure(id2, title2, y2, second),
+    ))
 }
 
 /// Reproduces **Figs. 4 and 5**: survivability of Line 1 after Disaster 1
-/// (all pumps failed), for recovery to service intervals X1 and X2.
+/// (all pumps failed), for recovery to service intervals X1 and X2. One task
+/// per strategy computes both curves off one compilation.
 ///
 /// # Errors
 ///
 /// Propagates composition and transient solver errors.
-pub fn fig4_5_survivability_line1(times: &[f64]) -> Result<(Figure, Figure), ArcadeError> {
-    fig4_5_survivability_line1_with(times, ExecOptions::default())
-}
-
-/// [`fig4_5_survivability_line1`] on an explicit worker pool (one task per
-/// strategy, each computing both service-level curves off one compilation).
-///
-/// # Errors
-///
-/// Propagates composition and transient solver errors.
-pub fn fig4_5_survivability_line1_with(
+pub fn fig4_5_survivability_line1(
     times: &[f64],
     exec: ExecOptions,
 ) -> Result<(Figure, Figure), ArcadeError> {
-    let pairs = sweep_strategies(&strategies::disaster1_strategies(), exec, |spec| {
-        let model = facility::line_model(Line::Line1, spec)?;
-        let analysis = Analysis::with_options(&model, composer_options(exec))?;
-        let disaster = model
-            .disaster(DISASTER_ALL_PUMPS)
-            .expect("disaster 1 is always defined");
-        Ok((
-            Series {
-                label: spec.label.clone(),
-                points: analysis.survivability_curve(disaster, service_levels::LINE1_X1, times)?,
-            },
-            Series {
-                label: spec.label.clone(),
-                points: analysis.survivability_curve(disaster, service_levels::LINE1_X2, times)?,
-            },
-        ))
-    })?;
-    let (x1_series, x2_series): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
-    let fig4 = Figure {
-        id: "fig4".to_string(),
-        title: "Survivability Line 1, Disaster 1, X1".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: x1_series,
-    };
-    let fig5 = Figure {
-        id: "fig5".to_string(),
-        title: "Survivability Line 1, Disaster 1, X2".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: x2_series,
-    };
-    Ok((fig4, fig5))
+    figure_pair(
+        Line::Line1,
+        &strategies::disaster1_strategies(),
+        DISASTER_ALL_PUMPS,
+        [
+            (
+                "fig4",
+                "Survivability Line 1, Disaster 1, X1",
+                "Probability (S)",
+            ),
+            (
+                "fig5",
+                "Survivability Line 1, Disaster 1, X2",
+                "Probability (S)",
+            ),
+        ],
+        exec,
+        |analysis, disaster| {
+            Ok([
+                analysis.survivability_curve(disaster, service_levels::LINE1_X1, times)?,
+                analysis.survivability_curve(disaster, service_levels::LINE1_X2, times)?,
+            ])
+        },
+    )
 }
 
 /// Reproduces **Figs. 6 and 7**: instantaneous and accumulated repair cost of
@@ -585,116 +538,71 @@ pub fn fig4_5_survivability_line1_with(
 pub fn fig6_7_cost_line1(
     instantaneous_times: &[f64],
     accumulated_times: &[f64],
-) -> Result<(Figure, Figure), ArcadeError> {
-    fig6_7_cost_line1_with(
-        instantaneous_times,
-        accumulated_times,
-        ExecOptions::default(),
-    )
-}
-
-/// [`fig6_7_cost_line1`] on an explicit worker pool (one task per strategy).
-///
-/// # Errors
-///
-/// Propagates composition and reward solver errors.
-pub fn fig6_7_cost_line1_with(
-    instantaneous_times: &[f64],
-    accumulated_times: &[f64],
     exec: ExecOptions,
 ) -> Result<(Figure, Figure), ArcadeError> {
-    let pairs = sweep_strategies(&strategies::disaster1_strategies(), exec, |spec| {
-        let model = facility::line_model(Line::Line1, spec)?;
-        let analysis = Analysis::with_options(&model, composer_options(exec))?;
-        let disaster = model
-            .disaster(DISASTER_ALL_PUMPS)
-            .expect("disaster 1 is always defined");
-        Ok((
-            Series {
-                label: spec.label.clone(),
-                points: analysis.instantaneous_cost_curve(Some(disaster), instantaneous_times)?,
-            },
-            Series {
-                label: spec.label.clone(),
-                points: analysis.accumulated_cost_curve(Some(disaster), accumulated_times)?,
-            },
-        ))
-    })?;
-    let (inst_series, acc_series): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
-    let fig6 = Figure {
-        id: "fig6".to_string(),
-        title: "Instantaneous cost Line 1, Disaster 1".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Impuls Costs (I)".to_string(),
-        series: inst_series,
-    };
-    let fig7 = Figure {
-        id: "fig7".to_string(),
-        title: "Accumulated cost Line 1, Disaster 1".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Cumulative costs (I)".to_string(),
-        series: acc_series,
-    };
-    Ok((fig6, fig7))
+    figure_pair(
+        Line::Line1,
+        &strategies::disaster1_strategies(),
+        DISASTER_ALL_PUMPS,
+        [
+            (
+                "fig6",
+                "Instantaneous cost Line 1, Disaster 1",
+                "Impuls Costs (I)",
+            ),
+            (
+                "fig7",
+                "Accumulated cost Line 1, Disaster 1",
+                "Cumulative costs (I)",
+            ),
+        ],
+        exec,
+        |analysis, disaster| {
+            Ok([
+                analysis.instantaneous_cost_curve(Some(disaster), instantaneous_times)?,
+                analysis.accumulated_cost_curve(Some(disaster), accumulated_times)?,
+            ])
+        },
+    )
 }
 
 /// Reproduces **Figs. 8 and 9**: survivability of Line 2 after Disaster 2
 /// (two pumps, one softener, one sand filter and the reservoir failed), for
-/// recovery to service intervals X1 and X3.
+/// recovery to service intervals X1 and X3. The five strategies sweep across
+/// workers while every curve is batched over a single Fox–Glynn pass; the
+/// `compositional_parallel` benchmark tracks this sweep.
 ///
 /// # Errors
 ///
 /// Propagates composition and transient solver errors.
-pub fn fig8_9_survivability_line2(times: &[f64]) -> Result<(Figure, Figure), ArcadeError> {
-    fig8_9_survivability_line2_with(times, ExecOptions::default())
-}
-
-/// [`fig8_9_survivability_line2`] on an explicit worker pool: the five
-/// strategies are independent (compile + two survivability curves each), so
-/// they sweep across workers while every curve is additionally batched over
-/// a single Fox–Glynn pass. This is the multi-time-point survivability sweep
-/// tracked by the `compositional_parallel` benchmark.
-///
-/// # Errors
-///
-/// Propagates composition and transient solver errors.
-pub fn fig8_9_survivability_line2_with(
+pub fn fig8_9_survivability_line2(
     times: &[f64],
     exec: ExecOptions,
 ) -> Result<(Figure, Figure), ArcadeError> {
-    let pairs = sweep_strategies(&strategies::paper_strategies(), exec, |spec| {
-        let model = facility::line_model(Line::Line2, spec)?;
-        let analysis = Analysis::with_options(&model, composer_options(exec))?;
-        let disaster = model
-            .disaster(DISASTER_LINE2_MIXED)
-            .expect("disaster 2 is defined for line 2");
-        Ok((
-            Series {
-                label: spec.label.clone(),
-                points: analysis.survivability_curve(disaster, service_levels::LINE2_X1, times)?,
-            },
-            Series {
-                label: spec.label.clone(),
-                points: analysis.survivability_curve(disaster, service_levels::LINE2_X3, times)?,
-            },
-        ))
-    })?;
-    let (x1_series, x3_series): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
-    let fig8 = Figure {
-        id: "fig8".to_string(),
-        title: "Survivability Line 2, Disaster 2, X1".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: x1_series,
-    };
-    let fig9 = Figure {
-        id: "fig9".to_string(),
-        title: "Survivability Line 2, Disaster 2, X3".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Probability (S)".to_string(),
-        series: x3_series,
-    };
-    Ok((fig8, fig9))
+    figure_pair(
+        Line::Line2,
+        &strategies::paper_strategies(),
+        DISASTER_LINE2_MIXED,
+        [
+            (
+                "fig8",
+                "Survivability Line 2, Disaster 2, X1",
+                "Probability (S)",
+            ),
+            (
+                "fig9",
+                "Survivability Line 2, Disaster 2, X3",
+                "Probability (S)",
+            ),
+        ],
+        exec,
+        |analysis, disaster| {
+            Ok([
+                analysis.survivability_curve(disaster, service_levels::LINE2_X1, times)?,
+                analysis.survivability_curve(disaster, service_levels::LINE2_X3, times)?,
+            ])
+        },
+    )
 }
 
 /// Reproduces **Figs. 10 and 11**: instantaneous and accumulated repair cost of
@@ -704,58 +612,39 @@ pub fn fig8_9_survivability_line2_with(
 /// # Errors
 ///
 /// Propagates composition and reward solver errors.
-pub fn fig10_11_cost_line2(times: &[f64]) -> Result<(Figure, Figure), ArcadeError> {
-    fig10_11_cost_line2_with(times, ExecOptions::default())
-}
-
-/// [`fig10_11_cost_line2`] on an explicit worker pool (one task per strategy).
-///
-/// # Errors
-///
-/// Propagates composition and reward solver errors.
-pub fn fig10_11_cost_line2_with(
+pub fn fig10_11_cost_line2(
     times: &[f64],
     exec: ExecOptions,
 ) -> Result<(Figure, Figure), ArcadeError> {
-    let specs = [
-        strategies::fff(1),
-        strategies::fff(2),
-        strategies::frf(1),
-        strategies::frf(2),
-    ];
-    let pairs = sweep_strategies(&specs, exec, |spec| {
-        let model = facility::line_model(Line::Line2, spec)?;
-        let analysis = Analysis::with_options(&model, composer_options(exec))?;
-        let disaster = model
-            .disaster(DISASTER_LINE2_MIXED)
-            .expect("disaster 2 is defined for line 2");
-        Ok((
-            Series {
-                label: spec.label.clone(),
-                points: analysis.instantaneous_cost_curve(Some(disaster), times)?,
-            },
-            Series {
-                label: spec.label.clone(),
-                points: analysis.accumulated_cost_curve(Some(disaster), times)?,
-            },
-        ))
-    })?;
-    let (inst_series, acc_series): (Vec<Series>, Vec<Series>) = pairs.into_iter().unzip();
-    let fig10 = Figure {
-        id: "fig10".to_string(),
-        title: "Instantaneous cost Line 2, Disaster 2".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Impuls costs (I)".to_string(),
-        series: inst_series,
-    };
-    let fig11 = Figure {
-        id: "fig11".to_string(),
-        title: "Accumulated cost Line 2, Disaster 2".to_string(),
-        x_label: "t in hours".to_string(),
-        y_label: "Cumulative costs (I)".to_string(),
-        series: acc_series,
-    };
-    Ok((fig10, fig11))
+    figure_pair(
+        Line::Line2,
+        &[
+            strategies::fff(1),
+            strategies::fff(2),
+            strategies::frf(1),
+            strategies::frf(2),
+        ],
+        DISASTER_LINE2_MIXED,
+        [
+            (
+                "fig10",
+                "Instantaneous cost Line 2, Disaster 2",
+                "Impuls costs (I)",
+            ),
+            (
+                "fig11",
+                "Accumulated cost Line 2, Disaster 2",
+                "Cumulative costs (I)",
+            ),
+        ],
+        exec,
+        |analysis, disaster| {
+            Ok([
+                analysis.instantaneous_cost_curve(Some(disaster), times)?,
+                analysis.accumulated_cost_curve(Some(disaster), times)?,
+            ])
+        },
+    )
 }
 
 /// The strategy pairs evaluated by the facility experiments: each paper
@@ -785,7 +674,7 @@ pub fn pair_label(pair: &(StrategySpec, StrategySpec)) -> String {
 /// # Errors
 ///
 /// Propagates composition and solver errors.
-pub fn table_facility_with(
+pub fn table_facility(
     pairs: &[(StrategySpec, StrategySpec)],
     exec: ExecOptions,
 ) -> Result<Vec<TableFacilityRow>, ArcadeError> {
@@ -851,95 +740,66 @@ pub struct FacilitySuite {
 /// # Errors
 ///
 /// Propagates composition and solver errors.
-pub fn facility_suite_with(
+pub fn facility_suite(
     pairs: &[(StrategySpec, StrategySpec)],
     recovery_times: &[f64],
     instantaneous_times: &[f64],
     accumulated_times: &[f64],
     exec: ExecOptions,
 ) -> Result<FacilitySuite, ArcadeError> {
-    type PairOutput = (TableFacilityRow, (Series, Series), (Series, Series));
-    let outputs: Vec<PairOutput> = exec::map_ordered(pairs, exec, |pair| {
+    let disaster = FACILITY_DISASTER_ALL_PUMPS;
+    let outputs = exec::map_ordered(pairs, exec, |pair| {
         let model = facility::facility_model(&pair.0, &pair.1)?;
         let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
         let label = pair_label(pair);
         let row = facility_table_row(label.clone(), &analysis)?;
-        let recovery = (
-            Series {
-                label: label.clone(),
-                points: analysis.survivability_curve(
-                    FACILITY_DISASTER_ALL_PUMPS,
-                    1.0,
-                    recovery_times,
-                )?,
-            },
-            Series {
-                label: label.clone(),
-                points: analysis.survivability_curve(
-                    FACILITY_DISASTER_ALL_PUMPS,
-                    service_levels::LINE1_X1,
-                    recovery_times,
-                )?,
-            },
-        );
-        let cost = (
-            Series {
-                label: label.clone(),
-                points: analysis.instantaneous_cost_curve(
-                    Some(FACILITY_DISASTER_ALL_PUMPS),
-                    instantaneous_times,
-                )?,
-            },
-            Series {
-                label,
-                points: analysis
-                    .accumulated_cost_curve(Some(FACILITY_DISASTER_ALL_PUMPS), accumulated_times)?,
-            },
-        );
-        Ok::<PairOutput, ArcadeError>((row, recovery, cost))
+        let curves = [
+            analysis.survivability_curve(disaster, 1.0, recovery_times)?,
+            analysis.survivability_curve(disaster, service_levels::LINE1_X1, recovery_times)?,
+            analysis.instantaneous_cost_curve(Some(disaster), instantaneous_times)?,
+            analysis.accumulated_cost_curve(Some(disaster), accumulated_times)?,
+        ];
+        Ok::<_, ArcadeError>((row, label, curves))
     })
     .into_iter()
-    .collect::<Result<_, _>>()?;
+    .collect::<Result<Vec<_>, _>>()?;
 
     let mut table = Vec::new();
-    let (mut full, mut basic, mut inst, mut acc) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (row, (recovery_full, recovery_basic), (cost_inst, cost_acc)) in outputs {
+    let mut series: [Vec<Series>; 4] = Default::default();
+    for (row, label, curves) in outputs {
         table.push(row);
-        full.push(recovery_full);
-        basic.push(recovery_basic);
-        inst.push(cost_inst);
-        acc.push(cost_acc);
+        for (figure, points) in series.iter_mut().zip(curves) {
+            let label = label.clone();
+            figure.push(Series { label, points });
+        }
     }
+    let [full, basic, inst, acc] = series;
     Ok(FacilitySuite {
         table,
-        recovery_full: Figure {
-            id: "fig-facility-full".to_string(),
-            title: "Facility recovery to full service, all pumps failed".to_string(),
-            x_label: "t in hours".to_string(),
-            y_label: "Probability (S)".to_string(),
-            series: full,
-        },
-        recovery_basic: Figure {
-            id: "fig-facility-basic".to_string(),
-            title: "Facility recovery to basic service (X1), all pumps failed".to_string(),
-            x_label: "t in hours".to_string(),
-            y_label: "Probability (S)".to_string(),
-            series: basic,
-        },
-        cost_instantaneous: Figure {
-            id: "fig-facility-inst-cost".to_string(),
-            title: "Instantaneous facility cost, all pumps failed".to_string(),
-            x_label: "t in hours".to_string(),
-            y_label: "Impuls Costs (I)".to_string(),
-            series: inst,
-        },
-        cost_accumulated: Figure {
-            id: "fig-facility-acc-cost".to_string(),
-            title: "Accumulated facility cost, all pumps failed".to_string(),
-            x_label: "t in hours".to_string(),
-            y_label: "Cumulative costs (I)".to_string(),
-            series: acc,
-        },
+        recovery_full: figure(
+            "fig-facility-full",
+            "Facility recovery to full service, all pumps failed",
+            "Probability (S)",
+            full,
+        ),
+        recovery_basic: figure(
+            "fig-facility-basic",
+            "Facility recovery to basic service (X1), all pumps failed",
+            "Probability (S)",
+            basic,
+        ),
+        cost_instantaneous: figure(
+            "fig-facility-inst-cost",
+            "Instantaneous facility cost, all pumps failed",
+            "Impuls Costs (I)",
+            inst,
+        ),
+        cost_accumulated: figure(
+            "fig-facility-acc-cost",
+            "Accumulated facility cost, all pumps failed",
+            "Cumulative costs (I)",
+            acc,
+        ),
     })
 }
 
@@ -982,15 +842,16 @@ pub fn symmetry_reduction_table(
     Ok(rows.into_iter().flatten().collect())
 }
 
+/// A count, or `-` where there is none.
+fn or_dash(value: Option<usize>) -> String {
+    value.map_or("-".to_string(), |v| v.to_string())
+}
+
 /// Renders symmetry-reduction rows as a plain-text table.
 pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
     let mut out = String::from(
         "Facility             Product     Orbit       Solved      Exact-min   Reduction\n",
     );
-    let or_dash = |value: Option<usize>| match value {
-        Some(v) => v.to_string(),
-        None => "-".to_string(),
-    };
     for row in rows {
         out.push_str(&format!(
             "{:<20} {:<11} {:<11} {:<11} {:<11} {:.2}x\n",
@@ -1005,7 +866,8 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
     out
 }
 
-/// One row of the k-line reduction ladder: builds the facility the spec
+/// The **k-line reduction ladder**, one row per facility spec, swept across
+/// the worker pool in spec order. Each row builds the facility the spec
 /// names, reads the three rungs off the per-line quotients (no
 /// materialisation), then evaluates the availability on the cheapest exact
 /// tier that fits:
@@ -1025,7 +887,17 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
 /// # Errors
 ///
 /// Rejects single-line specs; propagates composition and solver errors.
-pub fn kline_reduction_row(
+pub fn kline_reduction_table(
+    specs: &[ModelSpec],
+    exec: ExecOptions,
+) -> Result<Vec<KLineReductionRow>, ArcadeError> {
+    exec::map_ordered(specs, exec, |spec| kline_reduction_row(spec, exec))
+        .into_iter()
+        .collect()
+}
+
+/// One row of [`kline_reduction_table`].
+fn kline_reduction_row(
     spec: &ModelSpec,
     exec: ExecOptions,
 ) -> Result<KLineReductionRow, ArcadeError> {
@@ -1106,21 +978,6 @@ pub fn kline_reduction_row(
     })
 }
 
-/// The k-line reduction ladder for a list of facility specs, one row per
-/// spec, swept across the worker pool in spec order.
-///
-/// # Errors
-///
-/// Propagates per-row errors (see [`kline_reduction_row`]).
-pub fn kline_reduction_table(
-    specs: &[ModelSpec],
-    exec: ExecOptions,
-) -> Result<Vec<KLineReductionRow>, ArcadeError> {
-    exec::map_ordered(specs, exec, |spec| kline_reduction_row(spec, exec))
-        .into_iter()
-        .collect()
-}
-
 /// Renders k-line reduction rows as a plain-text table.
 pub fn format_kline_reduction(rows: &[KLineReductionRow]) -> String {
     let count = |value: usize| {
@@ -1191,10 +1048,6 @@ pub fn format_table_facility(rows: &[TableFacilityRow]) -> String {
 pub fn format_table1(rows: &[Table1Row]) -> String {
     let mut out =
         String::from("Line    Strategy  States      Transitions  Lumped      Lumped-Trans\n");
-    let or_dash = |value: Option<usize>| match value {
-        Some(v) => v.to_string(),
-        None => "-".to_string(),
-    };
     for row in rows {
         out.push_str(&format!(
             "{:<7} {:<9} {:<11} {:<12} {:<11} {}\n",
@@ -1310,7 +1163,8 @@ mod tests {
 
     #[test]
     fn fig3_reliability_series_shapes() {
-        let fig = fig3_reliability(&[0.0, 100.0, 200.0]).unwrap();
+        let fig =
+            fig3_reliability(&Line::both(), &[0.0, 100.0, 200.0], ExecOptions::default()).unwrap();
         assert_eq!(fig.series.len(), 2);
         for series in &fig.series {
             assert_eq!(series.points.len(), 3);
@@ -1390,7 +1244,7 @@ mod tests {
         // facility bench. The product-form availability must match the
         // genuine joint chain to 1e-9 and reproduce the paper's 0.9536063.
         let pairs = [(strategies::dedicated(), strategies::dedicated())];
-        let rows = table_facility_with(&pairs, ExecOptions::default()).unwrap();
+        let rows = table_facility(&pairs, ExecOptions::default()).unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert_eq!(row.pair, "DED×DED");
@@ -1405,8 +1259,7 @@ mod tests {
     fn facility_recovery_curves_start_at_zero_and_grow() {
         let pairs = [(strategies::dedicated(), strategies::dedicated())];
         let times = [0.0, 1.0, 2.0];
-        let suite =
-            facility_suite_with(&pairs, &times, &times, &times, ExecOptions::default()).unwrap();
+        let suite = facility_suite(&pairs, &times, &times, &times, ExecOptions::default()).unwrap();
         assert_eq!(suite.recovery_full.series.len(), 1);
         let curve = &suite.recovery_full.series[0].points;
         assert_eq!(curve[0].1, 0.0, "all pumps failed at t = 0");
@@ -1435,20 +1288,27 @@ mod tests {
 
     #[test]
     fn line_selection_restricts_tables_and_figures() {
-        let line2_only = table2_lines_with(&[Line::Line2], ExecOptions::default()).unwrap();
+        let exec = ExecOptions::default();
+        let line2_only = table2(&[Line::Line2], exec).unwrap();
         assert!(line2_only.iter().all(|row| row.line1.is_nan()));
         assert!(line2_only.iter().all(|row| row.line2.is_finite()));
         assert!(line2_only.iter().all(|row| row.combined.is_nan()));
         let text = format_table2(&line2_only);
         assert!(text.contains('-'), "NaN columns render as dashes");
 
-        let rows = table1_lines_with(&[Line::Line2], ExecOptions::default()).unwrap();
+        let rows = table1(&[Line::Line2], LumpingMode::Exact, exec).unwrap();
         assert!(rows.iter().all(|row| row.line == Line::Line2));
         assert_eq!(rows.len(), 5);
 
-        let fig =
-            fig3_reliability_lines_with(&[Line::Line1], &[0.0, 100.0], ExecOptions::default())
-                .unwrap();
+        // The compositional table follows the selection too: five Line 2
+        // rows, each exploring exactly its lumped block count.
+        let rows = table1(&[Line::Line2], LumpingMode::Compositional, exec).unwrap();
+        assert!(rows.iter().all(|row| row.line == Line::Line2));
+        let states: Vec<usize> = rows.iter().map(|row| row.states).collect();
+        assert_eq!(states, vec![96, 257, 387, 257, 387]);
+        assert!(rows.iter().all(|row| row.lumped_states == Some(row.states)));
+
+        let fig = fig3_reliability(&[Line::Line1], &[0.0, 100.0], exec).unwrap();
         assert_eq!(fig.series.len(), 1);
         assert!(fig.series[0].label.contains("line 1"));
     }

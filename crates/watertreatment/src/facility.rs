@@ -94,17 +94,6 @@ impl Line {
     pub fn both() -> [Line; 2] {
         [Line::Line1, Line::Line2]
     }
-
-    /// Parses a `--line` CLI argument into the paper's two lines: a thin
-    /// shim over [`LineSelection::from_arg`] resolved against the two-line
-    /// facility. Returns `None` for unparsable arguments *and* for
-    /// selections naming lines beyond the paper's two — callers that load
-    /// k-line models should use [`LineSelection`] directly, which keeps
-    /// out-of-range indices distinguishable from parse failures.
-    pub fn from_arg(arg: &str) -> Option<Vec<Line>> {
-        let lines = LineSelection::from_arg(arg)?.resolve(2).ok()?;
-        Some(lines.into_iter().map(|index| Line::both()[index]).collect())
-    }
 }
 
 /// A parsed `--line` CLI argument for models with any number of lines:
@@ -152,7 +141,7 @@ impl LineSelection {
     /// # Errors
     ///
     /// Returns a human-readable message when an index exceeds the loaded
-    /// model — the case `Line::from_arg` used to swallow as `None`.
+    /// model.
     pub fn resolve(&self, num_lines: usize) -> Result<Vec<usize>, String> {
         match self {
             LineSelection::All => Ok((0..num_lines).collect()),
@@ -592,24 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn line_arguments_parse() {
-        assert_eq!(Line::from_arg("1"), Some(vec![Line::Line1]));
-        assert_eq!(Line::from_arg("LINE2"), Some(vec![Line::Line2]));
-        assert_eq!(Line::from_arg("both"), Some(Line::both().to_vec()));
-        // Beyond the paper's two lines the shim still yields None, but the
-        // general selection keeps the index: `--line 3` is now resolvable
-        // against any k-line model instead of being swallowed at parse time.
-        assert_eq!(Line::from_arg("3"), None);
-        assert_eq!(
-            LineSelection::from_arg("3"),
-            Some(LineSelection::Indices(vec![3]))
-        );
-    }
-
-    #[test]
     fn line_selections_parse_and_resolve() {
         assert_eq!(LineSelection::from_arg("all"), Some(LineSelection::All));
         assert_eq!(LineSelection::from_arg("Both"), Some(LineSelection::All));
+        assert_eq!(
+            LineSelection::from_arg("LINE2"),
+            Some(LineSelection::Indices(vec![2]))
+        );
         assert_eq!(
             LineSelection::from_arg("line3"),
             Some(LineSelection::Indices(vec![3]))

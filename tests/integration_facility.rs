@@ -2,7 +2,7 @@
 //!
 //! * pinned joint block counts for **all** strategy pairs (the product of the
 //!   pinned per-line quotient sizes, e.g. FRF-1 × FRF-1 = 449 × 257);
-//! * `table_facility_with` validating the paper's `A = A1 + A2 − A1·A2`
+//! * `table_facility` validating the paper's `A = A1 + A2 − A1·A2`
 //!   against the genuine joint chain to ≤ 1e-9 for several strategy pairs;
 //! * the flagship FRF-1 × FRF-1 product solved end to end through the
 //!   sharded exec path with bit-identical results at 1/2/4/8 threads;
@@ -75,7 +75,7 @@ fn joint_block_counts_are_pinned_for_all_strategy_pairs() {
     }
 }
 
-/// `table_facility_with`: the combined-availability formula is validated
+/// `table_facility`: the combined-availability formula is validated
 /// against the genuine joint chain to ≤ 1e-9 for three cheap strategy pairs
 /// (the flagship FRF-1 × FRF-1 pair has its own test below; the full
 /// five-pair table runs in the `facility_product` bench and the
@@ -87,7 +87,7 @@ fn table_facility_validates_the_combined_availability_formula() {
         (strategies::dedicated(), strategies::frf(1)),
         (strategies::fff(1), strategies::dedicated()),
     ];
-    let rows = experiments::table_facility_with(&pairs, ExecOptions::default()).unwrap();
+    let rows = experiments::table_facility(&pairs, ExecOptions::default()).unwrap();
     assert_eq!(rows.len(), 3);
     let expected_blocks = [160 * 96, 160 * 257, 449 * 96];
     for (row, &blocks) in rows.iter().zip(expected_blocks.iter()) {
@@ -136,8 +136,7 @@ fn frf1_pair_product_is_bit_identical_across_thread_counts() {
         assert_eq!(stats.joint_blocks, 449 * 257, "{threads} threads");
 
         let rows =
-            experiments::table_facility_with(&[(strategies::frf(1), strategies::frf(1))], exec)
-                .unwrap();
+            experiments::table_facility(&[(strategies::frf(1), strategies::frf(1))], exec).unwrap();
         let row = rows.into_iter().next().unwrap();
         assert_eq!(row.joint_blocks, 115_393);
         assert!(

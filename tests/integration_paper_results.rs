@@ -6,7 +6,7 @@
 //! state spaces and availabilities (which the paper reports to seven digits)
 //! and the qualitative orderings of the survivability and cost curves on Line 2.
 
-use arcade_core::{Analysis, ComposerOptions, LumpingMode};
+use arcade_core::{Analysis, ComposerOptions, ExecOptions, LumpingMode};
 use watertreatment::experiments::{self, service_levels};
 use watertreatment::{combined_availability, facility, strategies, Line};
 
@@ -46,40 +46,26 @@ fn table1_dedicated_state_spaces_match_exactly() {
 /// adds transitions.
 #[test]
 fn table1_line2_queueing_state_spaces() {
-    let frf1 = Analysis::with_options(
-        &facility::line_model(Line::Line2, &strategies::frf(1)).unwrap(),
-        flat_options(),
-    )
-    .unwrap()
-    .state_space_stats();
-    let fff1 = Analysis::with_options(
-        &facility::line_model(Line::Line2, &strategies::fff(1)).unwrap(),
-        flat_options(),
-    )
-    .unwrap()
-    .state_space_stats();
-    let frf2 = Analysis::with_options(
-        &facility::line_model(Line::Line2, &strategies::frf(2)).unwrap(),
-        flat_options(),
-    )
-    .unwrap()
-    .state_space_stats();
+    let rows =
+        experiments::table1(&[Line::Line2], LumpingMode::Exact, ExecOptions::default()).unwrap();
+    let row = |label: &str| rows.iter().find(|row| row.strategy == label).unwrap();
+    let (frf1, fff1, frf2) = (row("FRF-1"), row("FFF-1"), row("FRF-2"));
 
     assert_eq!(
-        frf1.num_states, 8129,
+        frf1.states, 8129,
         "paper reports 8129 states for FRF-1 on Line 2"
     );
     assert_eq!(
-        fff1.num_states, frf1.num_states,
+        fff1.states, frf1.states,
         "FRF and FFF state counts coincide"
     );
-    assert_eq!(fff1.num_transitions, frf1.num_transitions);
+    assert_eq!(fff1.transitions, frf1.transitions);
     assert!(
-        frf1.num_states > 512,
+        frf1.states > 512,
         "queueing strategies blow up the dedicated state space"
     );
     assert!(
-        frf2.num_transitions > frf1.num_transitions,
+        frf2.transitions > frf1.transitions,
         "a second crew adds ways to perform repairs"
     );
 
@@ -90,7 +76,7 @@ fn table1_line2_queueing_state_spaces() {
     assert_eq!(fff1.lumped_states, Some(257));
     assert_eq!(frf2.lumped_states, Some(387));
     assert!(
-        frf1.lumped_states.unwrap() < frf1.num_states,
+        frf1.lumped_states.unwrap() < frf1.states,
         "lumping must strictly reduce the Line 2 state space"
     );
 }
@@ -223,18 +209,13 @@ fn table2_dedicated_availability_matches_the_paper() {
 /// are close behind, one crew is clearly worse.
 #[test]
 fn table2_line2_strategy_ordering() {
-    let availability = |spec: &watertreatment::StrategySpec| {
-        let model = facility::line_model(Line::Line2, spec).unwrap();
-        Analysis::new(&model)
-            .unwrap()
-            .steady_state_availability()
-            .unwrap()
-    };
-    let ded = availability(&strategies::dedicated());
-    let frf1 = availability(&strategies::frf(1));
-    let frf2 = availability(&strategies::frf(2));
-    let fff1 = availability(&strategies::fff(1));
-    let fff2 = availability(&strategies::fff(2));
+    let rows = experiments::table2(&[Line::Line2], ExecOptions::default()).unwrap();
+    let availability = |label: &str| rows.iter().find(|row| row.strategy == label).unwrap().line2;
+    let ded = availability("DED");
+    let frf1 = availability("FRF-1");
+    let frf2 = availability("FRF-2");
+    let fff1 = availability("FFF-1");
+    let fff2 = availability("FFF-2");
 
     assert!(
         ded >= frf2 && ded >= fff2,
@@ -256,7 +237,8 @@ fn table2_line2_strategy_ordering() {
 #[test]
 fn fig3_line2_is_more_reliable_than_line1() {
     let times = [0.0, 100.0, 250.0, 500.0, 1000.0];
-    let figure = experiments::fig3_reliability(&times).unwrap();
+    let figure =
+        experiments::fig3_reliability(&Line::both(), &times, ExecOptions::default()).unwrap();
     assert_eq!(figure.series.len(), 2);
     let line1 = &figure.series[0].points;
     let line2 = &figure.series[1].points;
@@ -277,7 +259,8 @@ fn fig3_line2_is_more_reliable_than_line1() {
 #[test]
 fn fig8_9_qualitative_orderings() {
     let times = [5.0, 20.0, 40.0];
-    let (fig8, fig9) = experiments::fig8_9_survivability_line2(&times).unwrap();
+    let (fig8, fig9) =
+        experiments::fig8_9_survivability_line2(&times, ExecOptions::default()).unwrap();
 
     let at = |figure: &experiments::Figure, label: &str, idx: usize| -> f64 {
         figure
@@ -328,7 +311,7 @@ fn fig8_9_qualitative_orderings() {
 #[test]
 fn fig10_11_cost_orderings() {
     let times = [0.0, 10.0, 25.0, 50.0];
-    let (fig10, fig11) = experiments::fig10_11_cost_line2(&times).unwrap();
+    let (fig10, fig11) = experiments::fig10_11_cost_line2(&times, ExecOptions::default()).unwrap();
 
     let series = |figure: &experiments::Figure, label: &str| -> Vec<f64> {
         figure

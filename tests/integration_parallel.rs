@@ -127,14 +127,11 @@ fn measures_agree_with_serial_below_1e12() {
 #[test]
 fn experiment_sweeps_do_not_depend_on_the_thread_count() {
     let times = grids::fig8_9();
-    let reference =
-        experiments::fig8_9_survivability_line2_with(&times, ExecOptions::serial()).unwrap();
+    let reference = experiments::fig8_9_survivability_line2(&times, ExecOptions::serial()).unwrap();
     for threads in THREAD_COUNTS {
-        let sweep = experiments::fig8_9_survivability_line2_with(
-            &times,
-            ExecOptions::with_threads(threads),
-        )
-        .unwrap();
+        let sweep =
+            experiments::fig8_9_survivability_line2(&times, ExecOptions::with_threads(threads))
+                .unwrap();
         assert_eq!(sweep, reference, "{threads} threads");
     }
 }

@@ -212,9 +212,9 @@ fn facility_suite_matches_the_standalone_runners() {
     let pairs = [(strategies::dedicated(), strategies::dedicated())];
     let times = [0.0, 1.0, 2.0];
     let exec = ExecOptions::default();
-    let suite = experiments::facility_suite_with(&pairs, &times, &times, &times, exec).unwrap();
+    let suite = experiments::facility_suite(&pairs, &times, &times, &times, exec).unwrap();
 
-    let table = experiments::table_facility_with(&pairs, exec).unwrap();
+    let table = experiments::table_facility(&pairs, exec).unwrap();
     assert_eq!(suite.table, table);
     assert_eq!(suite.table[0].solved_blocks, suite.table[0].joint_blocks);
 
