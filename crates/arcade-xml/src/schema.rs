@@ -145,9 +145,9 @@ pub fn to_xml(model: &ArcadeModel) -> String {
 ///
 /// # Errors
 ///
-/// Returns parse errors for malformed XML, schema errors for missing or
-/// malformed elements/attributes, and model errors for semantically invalid
-/// models (unknown references and the like).
+/// Returns parse errors for malformed XML, schema errors for missing,
+/// malformed or unknown attributes and missing elements, and model errors
+/// for semantically invalid models (unknown references and the like).
 pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
     let document = XmlDocument::parse(text)?;
     let root = &document.root;
@@ -159,9 +159,11 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
             ),
         });
     }
+    check_attributes(root, &["name"])?;
     let name = root.required_attribute("name")?;
 
     let structure_element = root.required_child("structure")?;
+    check_attributes(structure_element, &[])?;
     let structure_root = structure_element
         .children
         .first()
@@ -172,10 +174,21 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
 
     let mut builder = ArcadeModel::builder(name, structure);
 
-    for element in root
-        .required_child("components")?
-        .children_named("component")
-    {
+    let components = root.required_child("components")?;
+    check_attributes(components, &[])?;
+    for element in components.children_named("component") {
+        check_attributes(
+            element,
+            &[
+                "name",
+                "mttf",
+                "mttr",
+                "failed-cost",
+                "operational-cost",
+                "dormancy",
+                "initially-failed",
+            ],
+        )?;
         let component_name = element.required_attribute("name")?;
         let mttf = parse_number(element, "mttf")?;
         let mttr = parse_number(element, "mttr")?;
@@ -206,8 +219,28 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
     }
 
     if let Some(units) = root.child_named("repair-units") {
+        check_attributes(units, &[])?;
         for element in units.children_named("repair-unit") {
             let unit_name = element.required_attribute("name")?;
+            if element.attribute("preemptive").is_some() {
+                return Err(XmlError::Schema {
+                    message: format!(
+                        "repair unit `{unit_name}` uses the retired attribute `preemptive`; \
+                         write discipline=\"preemptive\" instead"
+                    ),
+                });
+            }
+            check_attributes(
+                element,
+                &[
+                    "name",
+                    "strategy",
+                    "crews",
+                    "idle-cost",
+                    "busy-cost",
+                    "discipline",
+                ],
+            )?;
             let crews: usize =
                 element
                     .required_attribute("crews")?
@@ -223,7 +256,7 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
                 "priority" => RepairStrategy::Priority(
                     element
                         .children_named("priority")
-                        .map(|p| p.required_attribute("ref").map(str::to_string))
+                        .map(reference)
                         .collect::<Result<Vec<_>, _>>()?,
                 ),
                 other => {
@@ -235,7 +268,7 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
             let mut unit = RepairUnit::new(unit_name, strategy, crews)?;
             let responsible = element
                 .children_named("responsible")
-                .map(|r| r.required_attribute("ref").map(str::to_string))
+                .map(reference)
                 .collect::<Result<Vec<_>, _>>()?;
             unit = unit.responsible_for(responsible);
             if let Some(value) = element.attribute("idle-cost") {
@@ -243,14 +276,6 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
             }
             if let Some(value) = element.attribute("busy-cost") {
                 unit = unit.with_busy_cost(parse_value(element, "busy-cost", value)?);
-            }
-            if element.attribute("preemptive").is_some() {
-                return Err(XmlError::Schema {
-                    message: format!(
-                        "repair unit `{unit_name}` uses the retired attribute `preemptive`; \
-                         write discipline=\"preemptive\" instead"
-                    ),
-                });
             }
             if let Some(value) = element.attribute("discipline") {
                 let discipline = DISCIPLINES
@@ -269,26 +294,30 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
     }
 
     if let Some(units) = root.child_named("spare-units") {
+        check_attributes(units, &[])?;
         for element in units.children_named("spare-unit") {
+            check_attributes(element, &["name"])?;
             let unit_name = element.required_attribute("name")?;
             let primaries = element
                 .children_named("primary")
-                .map(|p| p.required_attribute("ref").map(str::to_string))
+                .map(reference)
                 .collect::<Result<Vec<_>, _>>()?;
             let spares = element
                 .children_named("spare")
-                .map(|p| p.required_attribute("ref").map(str::to_string))
+                .map(reference)
                 .collect::<Result<Vec<_>, _>>()?;
             builder = builder.spare_unit(SpareManagementUnit::new(unit_name, primaries, spares)?);
         }
     }
 
     if let Some(disasters) = root.child_named("disasters") {
+        check_attributes(disasters, &[])?;
         for element in disasters.children_named("disaster") {
+            check_attributes(element, &["name"])?;
             let disaster_name = element.required_attribute("name")?;
             let failed = element
                 .children_named("failed")
-                .map(|p| p.required_attribute("ref").map(str::to_string))
+                .map(reference)
                 .collect::<Result<Vec<_>, _>>()?;
             builder = builder.disaster(Disaster::new(disaster_name, failed)?);
         }
@@ -343,6 +372,12 @@ fn structure_to_xml(node: &StructureNode) -> XmlElement {
 }
 
 fn structure_from_xml(element: &XmlElement) -> Result<StructureNode, XmlError> {
+    let known: &[&str] = match element.name.as_str() {
+        "component" => &["ref"],
+        "required-of" => &["required"],
+        _ => &[],
+    };
+    check_attributes(element, known)?;
     match element.name.as_str() {
         "component" => Ok(StructureNode::component(element.required_attribute("ref")?)),
         "series" => Ok(StructureNode::series(
@@ -380,6 +415,28 @@ fn structure_from_xml(element: &XmlElement) -> Result<StructureNode, XmlError> {
             message: format!("unknown structure element <{other}>"),
         }),
     }
+}
+
+/// Rejects an attribute of `element` outside `known`, so a misspelt
+/// attribute is an error instead of a silently missing setting.
+fn check_attributes(element: &XmlElement, known: &[&str]) -> Result<(), XmlError> {
+    match element
+        .attributes
+        .keys()
+        .find(|name| !known.contains(&name.as_str()))
+    {
+        Some(name) => Err(XmlError::Schema {
+            message: format!("unknown attribute `{name}` on <{}>", element.name),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The `ref` of a reference element (`<responsible>`, `<failed>`, ...),
+/// its only attribute.
+fn reference(element: &XmlElement) -> Result<String, XmlError> {
+    check_attributes(element, &["ref"])?;
+    Ok(element.required_attribute("ref")?.to_string())
 }
 
 fn parse_number(element: &XmlElement, attribute: &str) -> Result<f64, XmlError> {
@@ -551,6 +608,56 @@ mod tests {
         for (value, failed) in [("true", true), ("false", false)] {
             let model = from_xml(&document(value)).unwrap();
             assert_eq!(model.components()[0].is_initially_failed(), failed);
+        }
+    }
+
+    #[test]
+    fn unknown_attributes_are_rejected() {
+        // A misspelt attribute must not read as a missing one: this document
+        // would otherwise load a component that is not initially failed.
+        let message = schema_message(
+            r#"<arcade-model name="x">
+                <components><component name="a" mttf="10" mttr="1" initialy-failed="true"/>
+                </components>
+                <structure><component ref="a"/></structure>
+            </arcade-model>"#,
+        );
+        assert!(message.contains("`initialy-failed`"), "{message}");
+        assert!(message.contains("<component>"), "{message}");
+
+        let message = schema_message(&unit_with(r#"crew="2""#));
+        assert!(message.contains("`crew`"), "{message}");
+        assert!(message.contains("<repair-unit>"), "{message}");
+
+        for (document, attribute, element) in [
+            (
+                unit_with("").replace(
+                    r#"<responsible ref="a"/>"#,
+                    r#"<responsible ref="a" id="1"/>"#,
+                ),
+                "`id`",
+                "<responsible>",
+            ),
+            (
+                unit_with("").replace(
+                    r#"<structure><component ref="a"/>"#,
+                    r#"<structure><component ref="a" weight="2"/>"#,
+                ),
+                "`weight`",
+                "<component>",
+            ),
+            (
+                unit_with("").replace(
+                    r#"<arcade-model name="x">"#,
+                    r#"<arcade-model name="x" version="2">"#,
+                ),
+                "`version`",
+                "<arcade-model>",
+            ),
+        ] {
+            let message = schema_message(&document);
+            assert!(message.contains(attribute), "{message}");
+            assert!(message.contains(element), "{message}");
         }
     }
 

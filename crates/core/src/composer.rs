@@ -22,13 +22,15 @@
 //! number of explored states is bounded by the product of the per-family
 //! quotient sizes.
 //!
-//! The walk is breadth-first over packed states. Each state is also a
+//! The walk is breadth-first over packed states. Each state is a
 //! fixed-width key — two status bits per component, then one slot per member
-//! of every queue a repair unit keeps — stored once in an arena and
-//! found through an open-addressing table of indices. Successors are built
-//! in one reused scratch state, so only a state seen for the first time is
-//! copied, and each row of the rate matrix goes straight into the chain's
-//! compressed sparse row arrays once its state is expanded.
+//! of every queue a repair unit keeps — stored once in an arena and found
+//! through an open-addressing table of indices. The key arena is the only
+//! copy of a state: the state being expanded is decoded from its key into
+//! one reused scratch state, its successors are built in another and packed
+//! to be looked up, and [`CompiledModel::state`] decodes a state on demand.
+//! Each row of the rate matrix goes straight into the chain's compressed
+//! sparse row arrays once its state is expanded.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
@@ -166,7 +168,6 @@ pub const LABEL_NO_SERVICE: &str = "no_service";
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     chain: Ctmc,
-    states: Vec<GlobalState>,
     component_names: Vec<String>,
     service_levels: Vec<f64>,
     operational: Vec<bool>,
@@ -176,8 +177,9 @@ pub struct CompiledModel {
     // The walk's resolved units: disaster (GOOD) states are built with the
     // same helpers the walk used.
     units: Units,
-    // Every explored state's packed key, indexed like the CTMC states; a
-    // disaster state is found by packing it and probing the table.
+    // Every explored state's packed key, indexed like the CTMC states: the
+    // only copy of each state. `state(i)` decodes one; a disaster state is
+    // found by packing it and probing the table.
     key_layout: KeyLayout,
     state_keys: KeyTable,
     families: Vec<ComponentFamily>,
@@ -337,9 +339,17 @@ impl CompiledModel {
         &self.chain
     }
 
-    /// The explored global states, indexed like the CTMC states.
-    pub fn states(&self) -> &[GlobalState] {
-        &self.states
+    /// The explored global state with the given index (the index of its
+    /// CTMC state), decoded from its packed key.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not below the number of states.
+    pub fn state(&self, index: usize) -> GlobalState {
+        let mut state = GlobalState::new(Vec::new(), 0);
+        self.key_layout
+            .unpack(self.state_keys.key(index), &mut state);
+        state
     }
 
     /// Names of the components, in the index order used by [`GlobalState`].
@@ -544,7 +554,7 @@ impl CompiledModel {
         // initially-failed components keep their configuration. Queue
         // disasters in dispatch-priority order (ties: the order listed in the
         // disaster), as the paper does when the failure order is unknown.
-        let mut state = self.states[self.initial_index].clone();
+        let mut state = self.state(self.initial_index);
         failed.sort_by(|&a, &b| {
             let (pa, pb) = (self.units.priority_of(a), self.units.priority_of(b));
             pb.partial_cmp(&pa).unwrap_or(std::cmp::Ordering::Equal)
@@ -762,6 +772,7 @@ impl<'a> Composer<'a> {
         // per member.
         let key_layout = KeyLayout::new(
             n,
+            units.repair.len(),
             units
                 .repair
                 .iter()
@@ -923,23 +934,23 @@ impl<'a> Composer<'a> {
 
         // Breadth-first walk: states are expanded in index order and each new
         // (canonical) successor is numbered the first time it is seen, so the
-        // numbering and the transition order depend on the model alone. Each
-        // state is expanded from the copy `source` into the scratch state
-        // `next`; a successor is packed and looked up by its key, and only a
-        // new one is cloned into `states`. Row `current` of the rate matrix is
-        // complete once `current` is expanded: its targets are sorted, parallel
-        // events summed in emission order (only canonicalisation merges
-        // events, and merged events share one rate), and the row appended to
-        // the CSR arrays.
+        // numbering and the transition order depend on the model alone. The
+        // key arena is the only copy of each state: the state being expanded
+        // is decoded from its key into the scratch state `source`, and each
+        // successor is built in the scratch state `next`, packed and looked
+        // up by its key. Row `current` of the rate matrix is complete once
+        // `current` is expanded: its targets are sorted, parallel events
+        // summed in emission order (only canonicalisation merges events, and
+        // merged events share one rate), and the row appended to the CSR
+        // arrays.
         let max_states = self.options.max_states;
-        let mut states = vec![initial];
-        let mut source = states[0].clone();
-        let mut next = states[0].clone();
+        let mut next = initial.clone();
+        let mut source = initial;
         let mut row: Vec<(usize, f64)> = Vec::new();
         let (mut row_offsets, mut cols, mut rates) = (vec![0], Vec::new(), Vec::new());
         let mut current = 0;
-        while current < states.len() {
-            source.clone_from(&states[current]);
+        while current < keys.len() {
+            layout.unpack(keys.key(current), &mut source);
             row.clear();
             for c in 0..source.statuses.len() {
                 let Some(rate) = self.successor(&source, c, &mut next) else {
@@ -949,17 +960,13 @@ impl<'a> Composer<'a> {
                 layout.pack(&next, &mut key);
                 let target = match keys.find(&key) {
                     Ok(index) => index,
-                    Err(_) if states.len() >= max_states => {
+                    Err(_) if keys.len() >= max_states => {
                         return Err(ArcadeError::StateSpaceTooLarge { limit: max_states });
                     }
                     Err(vacant) => {
-                        let index =
-                            keys.insert(vacant, &key)
-                                .ok_or(ArcadeError::StateSpaceTooLarge {
-                                    limit: states.len(),
-                                })?;
-                        states.push(next.clone());
-                        index
+                        let limit = keys.len();
+                        keys.insert(vacant, &key)
+                            .ok_or(ArcadeError::StateSpaceTooLarge { limit })?
                     }
                 };
                 row.push((target, rate));
@@ -975,8 +982,8 @@ impl<'a> Composer<'a> {
 
         // Per-state metadata: service level, operational flag and cost rate.
         // All three read the statuses alone, so they are evaluated once per
-        // distinct status vector (the status bits of the key) and copied to
-        // every state that shares it.
+        // distinct status vector (the status bits of the key), on a state
+        // decoded only then, and copied to every state that shares it.
         let component_of: HashMap<&str, usize> = self
             .component_names
             .iter()
@@ -986,10 +993,11 @@ impl<'a> Composer<'a> {
         let mut status_key = vec![0; layout.status_words()];
         let mut status_keys = KeyTable::new(status_key.len());
         let mut status_metadata: Vec<(f64, bool, f64)> = Vec::new();
-        let mut service_levels = Vec::with_capacity(states.len());
-        let mut operational = Vec::with_capacity(states.len());
-        let mut costs = Vec::with_capacity(states.len());
-        for (index, state) in states.iter().enumerate() {
+        let num_states = keys.len();
+        let mut service_levels = Vec::with_capacity(num_states);
+        let mut operational = Vec::with_capacity(num_states);
+        let mut costs = Vec::with_capacity(num_states);
+        for index in 0..num_states {
             layout.status_bits(keys.key(index), &mut status_key);
             let (level, up, cost) = match status_keys.find(&status_key) {
                 Ok(seen) => status_metadata[seen],
@@ -997,6 +1005,8 @@ impl<'a> Composer<'a> {
                     status_keys
                         .insert(vacant, &status_key)
                         .expect("there are no more status vectors than states");
+                    layout.unpack(keys.key(index), &mut source);
+                    let state = &source;
                     let provides = |name: &str| -> f64 {
                         match component_of.get(name) {
                             Some(&c) if state.statuses[c].provides_service() => 1.0,
@@ -1038,7 +1048,6 @@ impl<'a> Composer<'a> {
 
         Ok(CompiledModel {
             chain,
-            states,
             component_names: self.component_names,
             service_levels,
             operational,
@@ -1069,6 +1078,8 @@ impl<'a> Composer<'a> {
 #[derive(Debug, Clone)]
 struct KeyLayout {
     num_components: usize,
+    /// Repair units, with a queue in the key or not.
+    num_units: usize,
     /// `(repair unit, first bit, slots)` of every queue in the key.
     queues: Vec<(usize, usize, usize)>,
     /// Width of a queue slot: enough bits to hold `num_components`.
@@ -1079,8 +1090,13 @@ struct KeyLayout {
 
 impl KeyLayout {
     /// Lays out `num_components` statuses followed by one queue of `slots`
-    /// slots per `(repair unit, slots)` pair, in the order given.
-    fn new(num_components: usize, queues: impl IntoIterator<Item = (usize, usize)>) -> Self {
+    /// slots per `(repair unit, slots)` pair, in the order given, for a model
+    /// with `num_units` repair units.
+    fn new(
+        num_components: usize,
+        num_units: usize,
+        queues: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
         let slot_bits = (usize::BITS - num_components.leading_zeros()) as usize;
         let mut next_bit = 2 * num_components;
         let queues = queues
@@ -1093,6 +1109,7 @@ impl KeyLayout {
             .collect();
         KeyLayout {
             num_components,
+            num_units,
             queues,
             slot_bits,
             words: next_bit.div_ceil(64).max(1),
@@ -1123,6 +1140,36 @@ impl KeyLayout {
                 key[word] |= value << shift;
                 if shift + self.slot_bits > 64 {
                     key[word + 1] |= value >> (64 - shift);
+                }
+            }
+        }
+    }
+
+    /// Decodes `key` into `state`, reusing its buffers: the inverse of
+    /// [`KeyLayout::pack`]. A unit without a queue in the key gets an empty
+    /// one.
+    fn unpack(&self, key: &[u64], state: &mut GlobalState) {
+        state.statuses.clear();
+        state.statuses.extend(
+            (0..self.num_components)
+                .map(|c| status_from_rank((key[c / 32] >> (2 * (c % 32))) as u8 & 3)),
+        );
+        state.queues.resize_with(self.num_units, Vec::new);
+        for queue in &mut state.queues {
+            queue.clear();
+        }
+        let slot_mask = (1 << self.slot_bits) - 1;
+        for &(ru, first_bit, slots) in &self.queues {
+            for slot in 0..slots {
+                let bit = first_bit + slot * self.slot_bits;
+                let (word, shift) = (bit / 64, bit % 64);
+                let mut value = key[word] >> shift;
+                if shift + self.slot_bits > 64 {
+                    value |= key[word + 1] << (64 - shift);
+                }
+                match value & slot_mask {
+                    0 => break,
+                    value => state.queues[ru].push(value as usize - 1),
                 }
             }
         }
@@ -1439,6 +1486,13 @@ mod tests {
     use crate::spare::SpareManagementUnit;
     use fault_tree::{StructureNode, SystemStructure};
 
+    /// Every explored state, in index order.
+    fn states(compiled: &CompiledModel) -> Vec<GlobalState> {
+        (0..compiled.chain().num_states())
+            .map(|index| compiled.state(index))
+            .collect()
+    }
+
     fn two_component_model(strategy: RepairStrategy, crews: usize) -> ArcadeModel {
         two_component_model_with(strategy, crews, QueueDiscipline::default())
     }
@@ -1570,7 +1624,7 @@ mod tests {
     fn labels_and_service_levels_are_consistent() {
         let model = two_component_model(RepairStrategy::Dedicated, 1);
         let compiled = CompiledModel::compile(&model).unwrap();
-        for (idx, state) in compiled.states().iter().enumerate() {
+        for (idx, state) in states(&compiled).iter().enumerate() {
             let any_failed = state.num_failed() > 0;
             assert_eq!(compiled.operational_mask()[idx], !any_failed);
             if any_failed {
@@ -1587,7 +1641,7 @@ mod tests {
     fn cost_rewards_match_the_cost_model() {
         let model = two_component_model(RepairStrategy::FirstComeFirstServe, 1);
         let compiled = CompiledModel::compile(&model).unwrap();
-        for (idx, state) in compiled.states().iter().enumerate() {
+        for (idx, state) in states(&compiled).iter().enumerate() {
             let failed = state.num_failed();
             let busy = state
                 .statuses
@@ -1606,7 +1660,7 @@ mod tests {
     fn initial_state_is_all_operational() {
         let model = two_component_model(RepairStrategy::FastestFailureFirst, 1);
         let compiled = CompiledModel::compile(&model).unwrap();
-        let initial = &compiled.states()[compiled.initial_index()];
+        let initial = compiled.state(compiled.initial_index());
         assert!(initial
             .statuses
             .iter()
@@ -1623,7 +1677,7 @@ mod tests {
         let compiled = CompiledModel::compile(&model).unwrap();
         let disaster = model.disaster("both").unwrap();
         let idx = compiled.disaster_state_index(disaster).unwrap();
-        let state = &compiled.states()[idx];
+        let state = compiled.state(idx);
         assert_eq!(state.num_failed(), 2);
         let good = compiled.chain_after_disaster(disaster).unwrap();
         assert_eq!(good.initial_distribution()[idx], 1.0);
@@ -1671,7 +1725,7 @@ mod tests {
         assert_eq!(preemptive_1.stats().num_states, 8);
         assert_eq!(preemptive_2.stats().num_states, 8);
         assert!(preemptive_2.stats().num_transitions > preemptive_1.stats().num_transitions);
-        for state in preemptive_1.states() {
+        for state in &states(&preemptive_1) {
             assert!(
                 state.queues.iter().all(Vec::is_empty),
                 "preemptive units keep no queue"
@@ -1684,7 +1738,7 @@ mod tests {
 
         // In every preemptive single-crew state the component under repair is
         // the failed one with the highest repair rate.
-        for state in preemptive_1.states() {
+        for state in &states(&preemptive_1) {
             let failed: Vec<usize> = (0..3).filter(|&c| state.statuses[c].is_failed()).collect();
             if failed.is_empty() {
                 continue;
@@ -1768,7 +1822,7 @@ mod tests {
         let compositional = CompiledModel::compile(&model).unwrap();
         let disaster = model.disaster("both").unwrap();
         let index = compositional.disaster_state_index(disaster).unwrap();
-        let state = &compositional.states()[index];
+        let state = compositional.state(index);
         assert_eq!(state.num_failed(), 2);
         // The canonical representative assigns the waiting role to the first
         // member and the under-repair role to the second.
@@ -1893,7 +1947,7 @@ mod tests {
             .build()
             .unwrap();
         let compiled = CompiledModel::compile(&model).unwrap();
-        let initial = &compiled.states()[compiled.initial_index()];
+        let initial = compiled.state(compiled.initial_index());
         assert_eq!(initial.statuses[0], ComponentStatus::UnderRepair);
     }
 
@@ -1920,22 +1974,22 @@ mod tests {
             .build()
             .unwrap();
         let compiled = CompiledModel::compile(&model).unwrap();
-        let initial = &compiled.states()[compiled.initial_index()];
+        let initial = compiled.state(compiled.initial_index());
         assert_eq!(initial.statuses[1], ComponentStatus::Dormant);
         // The spare only fails once activated, so the state space is small:
         // (p up, s dormant), (p failed+under repair, s active),
         // (p under repair, s failed waiting), (p up, s under repair, back to dormant p active)...
         // What matters: no state has the spare failed while the primary never failed first.
-        for state in compiled.states() {
+        for state in &states(&compiled) {
             if state.statuses[1].is_failed() {
                 // The spare can only have failed after it was activated, which
                 // requires the primary to have been failed at some point; in
                 // particular the initial state is excluded.
-                assert!(state != initial);
+                assert!(*state != initial);
             }
         }
         // Full service whenever one of the two provides service.
-        for (idx, state) in compiled.states().iter().enumerate() {
+        for (idx, state) in states(&compiled).iter().enumerate() {
             let expected = state.statuses.iter().any(|s| s.provides_service());
             assert_eq!(compiled.service_levels()[idx] > 0.99, expected);
         }
@@ -1947,8 +2001,15 @@ mod tests {
 
         /// A state of a model whose component `c` belongs to repair unit
         /// `unit_of[c]` (4 means none) and has status rank `ranks[c]`; unit
-        /// `u` queues `fill[u] % (members + 1)` of its members, shuffled.
-        fn state(unit_of: &[usize], ranks: &[u8], fill: &[usize], shuffle: u64) -> GlobalState {
+        /// `u` queues `fill[u] % (members + 1)` of its members, shuffled,
+        /// except unit `preemptive`, which keeps no queue.
+        fn state(
+            unit_of: &[usize],
+            ranks: &[u8],
+            fill: &[usize],
+            preemptive: usize,
+            shuffle: u64,
+        ) -> GlobalState {
             let mut state = GlobalState::new(
                 ranks[..unit_of.len()]
                     .iter()
@@ -1958,6 +2019,9 @@ mod tests {
             );
             let mut bits = shuffle | 1;
             for (unit, queue) in state.queues.iter_mut().enumerate() {
+                if unit == preemptive {
+                    continue;
+                }
                 let mut members: Vec<usize> =
                     (0..unit_of.len()).filter(|&c| unit_of[c] == unit).collect();
                 for i in (1..members.len()).rev() {
@@ -1979,6 +2043,14 @@ mod tests {
             key
         }
 
+        fn unpacked(layout: &KeyLayout, key: &[u64]) -> GlobalState {
+            // Start from a dirty state: unpacking must replace all of it.
+            let mut state = GlobalState::new(vec![ComponentStatus::Dormant; 3], 7);
+            state.queues[0] = vec![5, 1];
+            layout.unpack(key, &mut state);
+            state
+        }
+
         fn status_part(layout: &KeyLayout, key: &[u64]) -> Vec<u64> {
             let mut status = vec![u64::MAX; layout.status_words()];
             layout.status_bits(key, &mut status);
@@ -1988,26 +2060,38 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Layouts up to 40 components in up to 4 queued repair units, so
-            /// keys of up to 5 words: equal states pack to equal keys, and a
-            /// change to one status or one queue slot changes the key. The
-            /// status part of the key follows the statuses alone.
+            /// Layouts up to 40 components in up to 4 repair units, one of
+            /// them preemptive (4: none), so keys of up to 5 words: equal
+            /// states pack to equal keys, a change to one status or one
+            /// queue slot changes the key, and every key unpacks to the
+            /// state it was packed from. The status part of the key follows
+            /// the statuses alone.
             #[test]
             fn one_field_apart_is_one_key_apart(
                 unit_of in proptest::collection::vec(0usize..=4, 1..=40),
                 ranks in proptest::collection::vec(0u8..4, 40),
                 fill in proptest::collection::vec(0usize..=40, 4),
+                preemptive in 0usize..=4,
                 shuffle in any::<u64>(),
             ) {
                 let n = unit_of.len();
                 let members: Vec<Vec<usize>> = (0..4)
                     .map(|unit| (0..n).filter(|&c| unit_of[c] == unit).collect())
                     .collect();
-                let layout = KeyLayout::new(n, members.iter().map(Vec::len).enumerate());
+                let layout = KeyLayout::new(
+                    n,
+                    4,
+                    members
+                        .iter()
+                        .map(Vec::len)
+                        .enumerate()
+                        .filter(|&(unit, _)| unit != preemptive),
+                );
                 prop_assert!(layout.words <= 5);
-                let original = state(&unit_of, &ranks, &fill, shuffle);
+                let original = state(&unit_of, &ranks, &fill, preemptive, shuffle);
                 let key = packed(&layout, &original);
                 prop_assert_eq!(&key, &packed(&layout, &original.clone()));
+                prop_assert_eq!(&unpacked(&layout, &key), &original);
                 let status = status_part(&layout, &key);
 
                 for c in 0..n {
@@ -2017,9 +2101,13 @@ mod tests {
                         let changed_key = packed(&layout, &changed);
                         prop_assert_ne!(&key, &changed_key);
                         prop_assert_ne!(&status, &status_part(&layout, &changed_key));
+                        prop_assert_eq!(&unpacked(&layout, &changed_key), &changed);
                     }
                 }
                 for (unit, unit_members) in members.iter().enumerate() {
+                    if unit == preemptive {
+                        continue;
+                    }
                     let queue = &original.queues[unit];
                     let absent: Vec<usize> = unit_members
                         .iter()
@@ -2049,6 +2137,7 @@ mod tests {
                         let changed_key = packed(&layout, &changed);
                         prop_assert_ne!(&key, &changed_key);
                         prop_assert_eq!(&status, &status_part(&layout, &changed_key));
+                        prop_assert_eq!(&unpacked(&layout, &changed_key), &changed);
                     }
                 }
             }
@@ -2056,10 +2145,17 @@ mod tests {
 
         #[test]
         fn forty_components_in_queued_units_take_five_words() {
-            let layout = KeyLayout::new(40, [(0, 10), (1, 10), (2, 10), (3, 10)]);
+            let layout = KeyLayout::new(40, 4, [(0, 10), (1, 10), (2, 10), (3, 10)]);
             assert_eq!(layout.slot_bits, 6);
             assert_eq!(layout.words, 5);
             assert_eq!(layout.status_words(), 2);
+            // Every queue full, so unit 1's ninth slot (bits 188..194) and
+            // unit 2's tenth (bits 254..260) straddle a word boundary.
+            let mut full = GlobalState::new(vec![ComponentStatus::WaitingForRepair; 40], 4);
+            for (unit, queue) in full.queues.iter_mut().enumerate() {
+                *queue = (10 * unit..10 * unit + 10).rev().collect();
+            }
+            assert_eq!(unpacked(&layout, &packed(&layout, &full)), full);
         }
     }
 }

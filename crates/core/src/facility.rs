@@ -1564,9 +1564,11 @@ fn per_line_masks(
     for line in members {
         let degraded = line.model.degraded_fault_tree();
         let service_tree = line.model.service_tree();
-        let mut operational = Vec::with_capacity(compiled.states().len());
-        let mut service = Vec::with_capacity(compiled.states().len());
-        for state in compiled.states() {
+        let num_states = compiled.chain().num_states();
+        let mut operational = Vec::with_capacity(num_states);
+        let mut service = Vec::with_capacity(num_states);
+        for index in 0..num_states {
+            let state = compiled.state(index);
             let provides = |name: &str| -> f64 {
                 match position.get(qualified(&line.name, name).as_str()) {
                     Some(&i) if state.statuses[i].provides_service() => 1.0,

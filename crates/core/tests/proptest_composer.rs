@@ -136,7 +136,7 @@ proptest! {
         let compiled = CompiledModel::compile(&model).unwrap();
         let disaster = model.disaster("all").unwrap();
         let index = compiled.disaster_state_index(disaster).unwrap();
-        let state = &compiled.states()[index];
+        let state = compiled.state(index);
         prop_assert_eq!(state.num_failed(), spec.component_count);
         prop_assert!((compiled.service_levels()[index]).abs() < 1e-12);
         let good = compiled.chain_after_disaster(disaster).unwrap();

@@ -32,11 +32,30 @@
 //!    the weight-zero subgroup). For each split, the largest subblock keeps
 //!    the parent's identity and every other subblock joins the worklist
 //!    (Hopcroft's "process the smaller half" rule, which bounds the total
-//!    work by `O(m log n)`; moving touched states out of their block keeps
-//!    each split proportional to the touched states, not the block).
+//!    work by `O(m log n)`; the subblocks given new identities never hold
+//!    more states than were touched, so each split costs time proportional
+//!    to the touched states, not the block).
 //! 4. When the worklist runs dry, the partition is stable: all states of a
 //!    block have identical cumulative rates into every *other* block. The
 //!    quotient CTMC is read off a representative of each block.
+//!
+//! ## Data layout
+//!
+//! As in Valmari & Franceschinis, the partition lives in a few flat arrays
+//! of 32-bit indices: one permutation of the states in which every block is
+//! a contiguous segment, the position of each state in it, the block of
+//! each state, and per block its segment bounds plus the end of a *marked*
+//! prefix. Predecessors come from the transposed rate matrix
+//! ([`ctmc::SparseMatrix::transpose`]). For one splitter, every edge across
+//! its boundary appends `(state, rate)` to a reused buffer; the
+//! contributions are then counting-scattered into one segment per touched
+//! state of a second reused buffer, where each is sorted and summed. Each
+//! touched state is swapped into its block's marked prefix; a touched block
+//! is sorted by weight only when its marked weights differ, after which the
+//! runs of equal weight and the unmarked residue are sub-segments, so a
+//! split only cuts the segment and renumbers the states of the pieces that
+//! get new identities. The refinement allocates nothing per state or per
+//! block and uses no hash map.
 //!
 //! For an ordinarily lumpable partition the aggregated process is a Markov
 //! chain for *every* initial distribution, so transient, steady-state, reward

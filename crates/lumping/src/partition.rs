@@ -35,14 +35,11 @@ impl InitialPartition {
     /// class iff they carry exactly the same label set.
     pub fn from_labels(chain: &Ctmc) -> Self {
         let mut partition = InitialPartition::trivial(chain.num_states());
-        let names: Vec<String> = chain.label_names().map(str::to_string).collect();
-        for name in names {
-            if let Some(mask) = chain.label(&name) {
-                let mask = mask.to_vec();
-                partition
-                    .refine_by_bools(&mask)
-                    .expect("label masks have one entry per state");
-            }
+        for name in chain.label_names() {
+            let mask = chain.label(name).expect("name just came from the chain");
+            partition
+                .refine_by_bools(mask)
+                .expect("label masks have one entry per state");
         }
         partition
     }
@@ -68,7 +65,21 @@ impl InitialPartition {
     ///
     /// Returns [`LumpError::DimensionMismatch`] if `mask` has the wrong length.
     pub fn refine_by_bools(&mut self, mask: &[bool]) -> Result<&mut Self, LumpError> {
-        self.refine_by_keys(mask, |&b| u64::from(b))
+        self.check_len(mask.len())?;
+        // The new id of `(class, value)` sits at `2 * class + value`; ids are
+        // handed out in order of first appearance.
+        let mut ids = vec![usize::MAX; 2 * self.num_classes];
+        let mut next = 0;
+        for (class, &value) in self.classes.iter_mut().zip(mask) {
+            let id = &mut ids[2 * *class + usize::from(value)];
+            if *id == usize::MAX {
+                *id = next;
+                next += 1;
+            }
+            *class = *id;
+        }
+        self.num_classes = next;
+        Ok(self)
     }
 
     /// Splits classes so that states with different `f64` values separate.
@@ -80,28 +91,25 @@ impl InitialPartition {
     ///
     /// Returns [`LumpError::DimensionMismatch`] if `values` has the wrong length.
     pub fn refine_by_f64(&mut self, values: &[f64]) -> Result<&mut Self, LumpError> {
-        self.refine_by_keys(values, |&v| (v + 0.0).to_bits())
-    }
-
-    fn refine_by_keys<T>(
-        &mut self,
-        values: &[T],
-        key_of: impl Fn(&T) -> u64,
-    ) -> Result<&mut Self, LumpError> {
-        if values.len() != self.classes.len() {
-            return Err(LumpError::DimensionMismatch {
-                expected: self.classes.len(),
-                actual: values.len(),
-            });
-        }
+        self.check_len(values.len())?;
         let mut ids: HashMap<(usize, u64), usize> = HashMap::new();
-        for (class, value) in self.classes.iter_mut().zip(values.iter()) {
+        for (class, &value) in self.classes.iter_mut().zip(values) {
             let next = ids.len();
-            let id = *ids.entry((*class, key_of(value))).or_insert(next);
-            *class = id;
+            *class = *ids.entry((*class, (value + 0.0).to_bits())).or_insert(next);
         }
         self.num_classes = ids.len();
         Ok(self)
+    }
+
+    fn check_len(&self, len: usize) -> Result<(), LumpError> {
+        if len == self.classes.len() {
+            Ok(())
+        } else {
+            Err(LumpError::DimensionMismatch {
+                expected: self.classes.len(),
+                actual: len,
+            })
+        }
     }
 }
 

@@ -30,30 +30,29 @@ pub struct LumpedCtmc {
 }
 
 impl LumpedCtmc {
-    /// Builds the quotient from a stable partition. Blocks are renumbered by
-    /// their smallest member so the result is deterministic.
+    /// Builds the quotient from a stable partition, given as the block of
+    /// every state. Blocks are renumbered by their smallest member so the
+    /// result is deterministic.
     pub(crate) fn build(
         chain: &Ctmc,
-        block_of_raw: Vec<usize>,
-        blocks_raw: Vec<Vec<u32>>,
+        block_of_raw: &[u32],
+        num_raw_blocks: usize,
     ) -> Result<LumpedCtmc, LumpError> {
-        let mut blocks: Vec<Vec<usize>> = blocks_raw
-            .into_iter()
-            .map(|members| {
-                let mut members: Vec<usize> = members.into_iter().map(|s| s as usize).collect();
-                members.sort_unstable();
-                members
-            })
-            .collect();
-        blocks.sort_unstable_by_key(|members| members[0]);
-
-        let num_blocks = blocks.len();
-        let mut block_of = block_of_raw;
-        for (id, members) in blocks.iter().enumerate() {
-            for &s in members {
-                block_of[s] = id;
+        // Scanning the states in order meets every block first at its
+        // smallest member and fills each member list in ascending order.
+        let mut renumbered = vec![usize::MAX; num_raw_blocks];
+        let mut blocks: Vec<Vec<usize>> = Vec::with_capacity(num_raw_blocks);
+        let mut block_of = Vec::with_capacity(block_of_raw.len());
+        for (s, &raw) in block_of_raw.iter().enumerate() {
+            let id = &mut renumbered[raw as usize];
+            if *id == usize::MAX {
+                *id = blocks.len();
+                blocks.push(Vec::new());
             }
+            blocks[*id].push(s);
+            block_of.push(*id);
         }
+        let num_blocks = blocks.len();
 
         let mut builder = CtmcBuilder::new(num_blocks);
         let rates = chain.rate_matrix();

@@ -1,6 +1,6 @@
 //! The partition-refinement core.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ctmc::Ctmc;
 
@@ -21,6 +21,11 @@ use crate::quotient::LumpedCtmc;
 ///
 /// Returns [`LumpError::DimensionMismatch`] if `initial` covers a different
 /// number of states than `chain`, and propagates quotient-construction errors.
+///
+/// # Panics
+///
+/// If the chain has 2³² or more states or transitions: states, positions and
+/// contribution offsets are held in 32 bits.
 pub fn lump(chain: &Ctmc, initial: &InitialPartition) -> Result<LumpedCtmc, LumpError> {
     let n = chain.num_states();
     if initial.num_states() != n {
@@ -29,39 +34,28 @@ pub fn lump(chain: &Ctmc, initial: &InitialPartition) -> Result<LumpedCtmc, Lump
             actual: initial.num_states(),
         });
     }
-
-    // Transposed rate matrix: predecessors[u] lists every (s, R(s, u)).
-    let mut predecessors: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
     let rates = chain.rate_matrix();
-    for s in 0..n {
-        let (cols, values) = rates.row(s);
-        for (&u, &r) in cols.iter().zip(values.iter()) {
-            predecessors[u].push((s as u32, r));
-        }
-    }
+    assert!(
+        u32::try_from(n).is_ok() && u32::try_from(rates.num_entries()).is_ok(),
+        "the lumping engine indexes states and transitions in 32 bits"
+    );
+    // Row `u` of the transpose lists every (s, R(s, u)).
+    let predecessors = rates.transpose();
 
-    let mut partition = Refiner::new(initial);
-    let mut worklist: VecDeque<usize> = (0..partition.blocks.len()).collect();
-
-    // Scratch: per-state rate contributions w.r.t. the current splitter. A
-    // state is "touched" iff its contribution list is non-empty.
-    let mut contributions: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut touched: Vec<u32> = Vec::new();
-
+    let mut partition = Partition::new(initial);
+    let mut contributions = Contributions::new(n);
+    let mut worklist: VecDeque<u32> = (0..partition.blocks.len() as u32).collect();
     while let Some(splitter) = worklist.pop_front() {
-        let members = partition.blocks[splitter].clone();
-
+        let Segment { first, end, .. } = partition.blocks[splitter as usize];
+        let members = first as usize..end as usize;
         // States outside the splitter are weighted by their cumulative rate
         // into it, collected over the transposed edges.
-        for &u in &members {
-            for &(s, r) in &predecessors[u as usize] {
-                if partition.block_of[s as usize] == splitter {
-                    continue; // members are weighted by their external rate below
+        for &u in &partition.elements[members.clone()] {
+            let (cols, values) = predecessors.row(u as usize);
+            for (&s, &r) in cols.iter().zip(values) {
+                if partition.block_of[s] != splitter {
+                    contributions.add(s as u32, r);
                 }
-                if contributions[s as usize].is_empty() {
-                    touched.push(s);
-                }
-                contributions[s as usize].push(r);
             }
         }
         // Members of the splitter are weighted by (minus) their cumulative
@@ -71,153 +65,267 @@ pub fn lump(chain: &Ctmc, initial: &InitialPartition) -> Result<LumpedCtmc, Lump
         // symmetric states bit-identical. Ordinary lumpability does not
         // constrain intra-block rates, so this — not the raw rate into C — is
         // what may split the splitter's own block.
-        for &u in &members {
+        for &u in &partition.elements[members] {
             let (cols, values) = rates.row(u as usize);
-            for (&v, &r) in cols.iter().zip(values.iter()) {
+            for (&v, &r) in cols.iter().zip(values) {
                 if partition.block_of[v] != splitter {
-                    if contributions[u as usize].is_empty() {
-                        touched.push(u);
-                    }
-                    contributions[u as usize].push(r);
+                    contributions.add(u, r);
                 }
             }
         }
-        if touched.is_empty() {
-            continue;
+        contributions.settle(|s| partition.block_of[s as usize] == splitter);
+
+        for &s in &contributions.touched {
+            partition.mark(s);
         }
-
-        // Group the touched states by their current block.
-        let mut touched_by_block: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &s in &touched {
-            touched_by_block
-                .entry(partition.block_of[s as usize])
-                .or_default()
-                .push(s);
-        }
-
-        for (block, touched_states) in touched_by_block {
-            // Subgroups of equal weight. Contributions are sorted before
-            // summation so equal multisets give equal bits; splitter members
-            // carry the negative sign of the generator diagonal.
-            let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
-            for &s in &touched_states {
-                let list = &mut contributions[s as usize];
-                list.sort_by(|a, b| a.total_cmp(b));
-                let mut weight: f64 = list.iter().sum();
-                if block == splitter {
-                    weight = -weight;
-                }
-                groups.entry((weight + 0.0).to_bits()).or_default().push(s);
-            }
-            if groups.len() == 1 && touched_states.len() == partition.blocks[block].len() {
-                continue; // every member sees the same weight: no split
-            }
-
-            // Move the touched states out; the untouched residue (implicit
-            // weight zero) stays behind under the parent id. This keeps the
-            // split cost proportional to the touched states, not the block.
-            for &s in &touched_states {
-                partition.remove_from_block(s);
-            }
-            // Deterministic subblock order regardless of hash-map iteration.
-            let mut ordered: Vec<(u64, Vec<u32>)> = groups.into_iter().collect();
-            ordered.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
-            let subblocks: Vec<Vec<u32>> = ordered.into_iter().map(|(_, states)| states).collect();
-
-            // The largest child keeps the parent id (and, when the parent was
-            // pending, its worklist slot); every other child joins the
-            // worklist — Hopcroft's "all but the largest" rule.
-            let residue_len = partition.blocks[block].len();
-            let (largest, largest_len) = subblocks
-                .iter()
-                .enumerate()
-                .map(|(index, sub)| (index, sub.len()))
-                .max_by_key(|&(index, len)| (len, std::cmp::Reverse(index)))
-                .expect("a split has at least one weight group");
-            if residue_len >= largest_len {
-                // The residue keeps the parent id; all groups are new blocks.
-                for sub in subblocks {
-                    worklist.push_back(partition.add_block(sub));
-                }
-            } else {
-                let residue = std::mem::take(&mut partition.blocks[block]);
-                for (index, sub) in subblocks.into_iter().enumerate() {
-                    if index == largest {
-                        partition.place_into_block(block, sub);
-                    } else {
-                        worklist.push_back(partition.add_block(sub));
-                    }
-                }
-                if !residue.is_empty() {
-                    worklist.push_back(partition.add_block(residue));
-                }
-            }
-        }
-
-        for &s in &touched {
-            contributions[s as usize].clear();
-        }
-        touched.clear();
+        contributions.touched.clear();
+        partition.split_touched(&contributions.weight, &mut worklist);
     }
 
-    LumpedCtmc::build(chain, partition.block_of, partition.blocks)
+    LumpedCtmc::build(chain, &partition.block_of, partition.blocks.len())
 }
 
-/// The refinable partition: member lists plus per-state block id and position,
-/// so states move between blocks in O(1).
-struct Refiner {
-    blocks: Vec<Vec<u32>>,
-    block_of: Vec<usize>,
-    /// Index of each state within its block's member list.
+/// One block of a [`Partition`]: the segment `first..end` of
+/// [`Partition::elements`], whose prefix `first..marked` holds the block's
+/// marked states.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    first: u32,
+    marked: u32,
+    end: u32,
+}
+
+/// The refinable partition, held in flat arrays: every block is a
+/// contiguous segment of one permutation of the states, so moving a state
+/// into its block's marked prefix is one swap, and splitting a block only
+/// cuts its segment and renumbers the states of the new pieces.
+struct Partition {
+    /// The states, grouped so that every block is one segment.
+    elements: Vec<u32>,
+    /// Index of each state in `elements`.
     position: Vec<u32>,
+    /// The block of each state.
+    block_of: Vec<u32>,
+    blocks: Vec<Segment>,
+    /// Blocks holding at least one marked state, in the order of their first
+    /// mark.
+    touched: Vec<u32>,
+    /// Scratch for [`Partition::split`]: the `(first, end)` of every piece.
+    pieces: Vec<(u32, u32)>,
 }
 
-impl Refiner {
+impl Partition {
+    /// One block per initial class, states in ascending order within it.
     fn new(initial: &InitialPartition) -> Self {
-        let n = initial.num_states();
-        let mut blocks: Vec<Vec<u32>> = vec![Vec::new(); initial.num_classes()];
-        let mut position = vec![0u32; n];
-        for (s, &class) in initial.classes().iter().enumerate() {
-            position[s] = blocks[class].len() as u32;
-            blocks[class].push(s as u32);
+        let classes = initial.classes();
+        let mut blocks = vec![
+            Segment {
+                first: 0,
+                marked: 0,
+                end: 0
+            };
+            initial.num_classes()
+        ];
+        for &class in classes {
+            blocks[class].end += 1;
         }
-        Refiner {
-            blocks,
-            block_of: initial.classes().to_vec(),
+        let mut next = 0;
+        for block in &mut blocks {
+            let size = block.end;
+            *block = Segment {
+                first: next,
+                marked: next,
+                end: next,
+            };
+            next += size;
+        }
+        let mut elements = vec![0; classes.len()];
+        let mut position = vec![0; classes.len()];
+        for (s, &class) in classes.iter().enumerate() {
+            let slot = &mut blocks[class].end;
+            elements[*slot as usize] = s as u32;
+            position[s] = *slot;
+            *slot += 1;
+        }
+        Partition {
+            elements,
             position,
+            block_of: classes.iter().map(|&class| class as u32).collect(),
+            blocks,
+            touched: Vec::new(),
+            pieces: Vec::new(),
         }
     }
 
-    /// Swap-removes a state from its block's member list.
-    fn remove_from_block(&mut self, state: u32) {
+    /// Moves an unmarked state into its block's marked prefix.
+    fn mark(&mut self, state: u32) {
         let block = self.block_of[state as usize];
-        let index = self.position[state as usize] as usize;
-        let last = self.blocks[block].pop().expect("state is in its block");
-        if last != state {
-            self.blocks[block][index] = last;
-            self.position[last as usize] = index as u32;
+        let segment = &mut self.blocks[block as usize];
+        if segment.marked == segment.first {
+            self.touched.push(block);
+        }
+        let (from, to) = (self.position[state as usize], segment.marked);
+        segment.marked += 1;
+        let displaced = self.elements[to as usize];
+        self.elements.swap(from as usize, to as usize);
+        self.position[displaced as usize] = from;
+        self.position[state as usize] = to;
+    }
+
+    /// Splits every touched block by `weight` and clears all marks.
+    fn split_touched(&mut self, weight: &[f64], worklist: &mut VecDeque<u32>) {
+        for index in 0..self.touched.len() {
+            self.split(self.touched[index], weight, worklist);
+        }
+        self.touched.clear();
+    }
+
+    /// Splits a touched block into its subgroups of equal weight and the
+    /// unmarked residue (implicit weight zero), and clears its marks.
+    ///
+    /// The residue keeps the block's id if it is at least as large as every
+    /// weight group; otherwise the largest group does (the first in weight
+    /// order among equals). Every other non-empty piece becomes a new block
+    /// on the worklist — Hopcroft's "all but the largest" rule. A block that
+    /// was pending keeps its worklist entry under the same id, so every
+    /// piece of it is still processed.
+    fn split(&mut self, block: u32, weight: &[f64], worklist: &mut VecDeque<u32>) {
+        let Segment { first, marked, end } = self.blocks[block as usize];
+        let bits = |s: u32| weight[s as usize].to_bits();
+        let group = &mut self.elements[first as usize..marked as usize];
+        let uniform = group.iter().all(|&s| bits(s) == bits(group[0]));
+        if uniform && marked == end {
+            // Every member sees the same weight: no split.
+            self.blocks[block as usize].marked = first;
+            return;
+        }
+        if !uniform {
+            group.sort_unstable_by(|&a, &b| weight[a as usize].total_cmp(&weight[b as usize]));
+            for (index, &s) in (first..).zip(group.iter()) {
+                self.position[s as usize] = index;
+            }
+        }
+
+        // The pieces: the runs of equal weight, in weight order, then the
+        // residue.
+        let mut pieces = std::mem::take(&mut self.pieces);
+        let mut start = first;
+        while start < marked {
+            let key = bits(self.elements[start as usize]);
+            let stop = (start..marked)
+                .find(|&i| bits(self.elements[i as usize]) != key)
+                .unwrap_or(marked);
+            pieces.push((start, stop));
+            start = stop;
+        }
+        let size = |(first, end): (u32, u32)| end - first;
+        let largest = pieces
+            .iter()
+            .copied()
+            .reduce(|best, piece| {
+                if size(piece) > size(best) {
+                    piece
+                } else {
+                    best
+                }
+            })
+            .expect("a touched block has a marked state");
+        let keeper = if end - marked >= size(largest) {
+            (marked, end)
+        } else {
+            largest
+        };
+        if marked < end {
+            pieces.push((marked, end));
+        }
+
+        for &(start, stop) in &pieces {
+            let segment = Segment {
+                first: start,
+                marked: start,
+                end: stop,
+            };
+            if (start, stop) == keeper {
+                self.blocks[block as usize] = segment;
+                continue;
+            }
+            let id = self.blocks.len() as u32;
+            self.blocks.push(segment);
+            for &s in &self.elements[start as usize..stop as usize] {
+                self.block_of[s as usize] = id;
+            }
+            worklist.push_back(id);
+        }
+        pieces.clear();
+        self.pieces = pieces;
+    }
+}
+
+/// The rates a splitter's edges contribute to each state, and the weights
+/// summed from them.
+struct Contributions {
+    /// `(state, rate)` in the order collected.
+    collected: Vec<(u32, f64)>,
+    /// States with at least one contribution, in the order of their first.
+    touched: Vec<u32>,
+    /// Contributions per state; zero for a state not touched.
+    count: Vec<u32>,
+    /// Where each touched state's contributions start in `grouped`.
+    start: Vec<u32>,
+    /// The contributions of the touched states, one segment per state.
+    grouped: Vec<f64>,
+    /// The weight of each touched state.
+    weight: Vec<f64>,
+}
+
+impl Contributions {
+    fn new(n: usize) -> Self {
+        Contributions {
+            collected: Vec::new(),
+            touched: Vec::new(),
+            count: vec![0; n],
+            start: vec![0; n],
+            grouped: Vec::new(),
+            weight: vec![0.0; n],
         }
     }
 
-    /// Installs `members` (previously removed) as a brand-new block.
-    fn add_block(&mut self, members: Vec<u32>) -> usize {
-        let id = self.blocks.len();
-        self.place(&members, id);
-        self.blocks.push(members);
-        id
+    fn add(&mut self, state: u32, rate: f64) {
+        let count = &mut self.count[state as usize];
+        if *count == 0 {
+            self.touched.push(state);
+        }
+        *count += 1;
+        self.collected.push((state, rate));
     }
 
-    /// Installs `members` (previously removed) under an existing, empty id.
-    fn place_into_block(&mut self, id: usize, members: Vec<u32>) {
-        debug_assert!(self.blocks[id].is_empty());
-        self.place(&members, id);
-        self.blocks[id] = members;
-    }
-
-    fn place(&mut self, members: &[u32], id: usize) {
-        for (index, &s) in members.iter().enumerate() {
-            self.block_of[s as usize] = id;
-            self.position[s as usize] = index as u32;
+    /// Weighs every touched state: its contributions are counting-scattered
+    /// into one segment of `grouped`, sorted and summed, so equal multisets
+    /// give equal bits. States `in_splitter` carry the negative sign of the
+    /// generator diagonal.
+    fn settle(&mut self, in_splitter: impl Fn(u32) -> bool) {
+        // Each state's segment is filled from its end, so `start` ends up
+        // where its name says.
+        let mut offset = 0;
+        for &s in &self.touched {
+            offset += self.count[s as usize];
+            self.start[s as usize] = offset;
+        }
+        self.grouped.resize(self.collected.len(), 0.0);
+        for &(s, r) in &self.collected {
+            let slot = &mut self.start[s as usize];
+            *slot -= 1;
+            self.grouped[*slot as usize] = r;
+        }
+        self.collected.clear();
+        for &s in &self.touched {
+            let start = self.start[s as usize] as usize;
+            let count = std::mem::take(&mut self.count[s as usize]) as usize;
+            let list = &mut self.grouped[start..start + count];
+            list.sort_unstable_by(f64::total_cmp);
+            let sum: f64 = list.iter().sum();
+            let weight = if in_splitter(s) { -sum } else { sum };
+            self.weight[s as usize] = weight + 0.0;
         }
     }
 }

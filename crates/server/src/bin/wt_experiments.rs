@@ -45,7 +45,8 @@
 //! `--line all`; `both` is accepted as an alias of `all`): tables report only
 //! the selected lines and line-specific figures (figs. 4–7 are Line 1, figs.
 //! 8–11 are Line 2) are skipped when their line is deselected. Indices beyond
-//! the loaded model's line count are rejected with the model's actual size.
+//! the loaded model's line count are rejected with the model's actual size,
+//! and so is an index given twice.
 //! The `facility` experiment needs both lines and is skipped otherwise.
 //!
 //! `facility --k K0,K1,...` prints the **k-line reduction ladder**: for each

@@ -141,22 +141,25 @@ impl LineSelection {
     /// # Errors
     ///
     /// Returns a human-readable message when an index exceeds the loaded
-    /// model.
+    /// model or is given twice.
     pub fn resolve(&self, num_lines: usize) -> Result<Vec<usize>, String> {
         match self {
             LineSelection::All => Ok((0..num_lines).collect()),
-            LineSelection::Indices(indices) => indices
-                .iter()
-                .map(|&index| {
-                    if index <= num_lines {
-                        Ok(index - 1)
-                    } else {
-                        Err(format!(
+            LineSelection::Indices(indices) => {
+                let mut resolved = Vec::with_capacity(indices.len());
+                for &index in indices {
+                    if index > num_lines {
+                        return Err(format!(
                             "--line {index}: the loaded model has {num_lines} line(s)"
-                        ))
+                        ));
                     }
-                })
-                .collect(),
+                    if resolved.contains(&(index - 1)) {
+                        return Err(format!("--line names line {index} twice"));
+                    }
+                    resolved.push(index - 1);
+                }
+                Ok(resolved)
+            }
         }
     }
 }
@@ -608,6 +611,10 @@ mod tests {
         let err = LineSelection::Indices(vec![3]).resolve(2).unwrap_err();
         assert!(err.contains("--line 3"), "{err}");
         assert!(err.contains("2 line(s)"), "{err}");
+        // `2,line2` names one line twice.
+        let twice = LineSelection::from_arg("2,line2").unwrap();
+        let err = twice.resolve(2).unwrap_err();
+        assert!(err.contains("line 2 twice"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,8 @@ fn fnv1a_word(hash: &mut u64, word: u64) {
 /// its length) followed by the rate matrix in row order.
 fn exploration_fingerprint(compiled: &CompiledModel) -> u64 {
     let mut hash = FNV_OFFSET;
-    for state in compiled.states() {
+    for index in 0..compiled.chain().num_states() {
+        let state = compiled.state(index);
         for &status in &state.statuses {
             let code: u8 = match status {
                 ComponentStatus::Operational => 0,
