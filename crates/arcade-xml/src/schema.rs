@@ -146,8 +146,10 @@ pub fn to_xml(model: &ArcadeModel) -> String {
 /// # Errors
 ///
 /// Returns parse errors for malformed XML, schema errors for missing,
-/// malformed or unknown attributes and missing elements, and model errors
-/// for semantically invalid models (unknown references and the like).
+/// malformed or unknown attributes, for missing elements and for elements
+/// out of place (unknown, misspelt, in the wrong parent or repeated), and
+/// model errors for semantically invalid models (unknown references and
+/// the like).
 pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
     let document = XmlDocument::parse(text)?;
     let root = &document.root;
@@ -161,22 +163,51 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
     }
     check_attributes(root, &["name"])?;
     let name = root.required_attribute("name")?;
+    const SECTIONS: [&str; 5] = [
+        "components",
+        "repair-units",
+        "spare-units",
+        "structure",
+        "disasters",
+    ];
+    check_children(root, &SECTIONS)?;
+    if let Some(section) = SECTIONS
+        .into_iter()
+        .find(|&section| root.children_named(section).nth(1).is_some())
+    {
+        return Err(XmlError::Schema {
+            message: format!("element <{section}> appears more than once in <arcade-model>"),
+        });
+    }
 
     let structure_element = root.required_child("structure")?;
     check_attributes(structure_element, &[])?;
-    let structure_root = structure_element
-        .children
-        .first()
-        .ok_or_else(|| XmlError::Schema {
-            message: "<structure> must contain exactly one node".to_string(),
-        })?;
+    let structure_root = match structure_element.children.as_slice() {
+        [node] => node,
+        [] => {
+            return Err(XmlError::Schema {
+                message: "<structure> must contain exactly one node".to_string(),
+            })
+        }
+        [_, second, ..] => {
+            return Err(XmlError::Schema {
+                message: format!(
+                    "unexpected second node <{}> in <structure>, which must contain exactly \
+                     one node",
+                    second.name
+                ),
+            })
+        }
+    };
     let structure = SystemStructure::new(structure_from_xml(structure_root)?);
 
     let mut builder = ArcadeModel::builder(name, structure);
 
     let components = root.required_child("components")?;
     check_attributes(components, &[])?;
+    check_children(components, &["component"])?;
     for element in components.children_named("component") {
+        check_children(element, &[])?;
         check_attributes(
             element,
             &[
@@ -220,6 +251,7 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
 
     if let Some(units) = root.child_named("repair-units") {
         check_attributes(units, &[])?;
+        check_children(units, &["repair-unit"])?;
         for element in units.children_named("repair-unit") {
             let unit_name = element.required_attribute("name")?;
             if element.attribute("preemptive").is_some() {
@@ -248,7 +280,17 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
                     .map_err(|_| XmlError::Schema {
                         message: format!("repair unit `{unit_name}` has a non-integer crew count"),
                     })?;
-            let strategy = match element.required_attribute("strategy")? {
+            let strategy_keyword = element.required_attribute("strategy")?;
+            // Only a priority strategy reads an order from <priority> children.
+            check_children(
+                element,
+                if strategy_keyword == "priority" {
+                    &["responsible", "priority"]
+                } else {
+                    &["responsible"]
+                },
+            )?;
+            let strategy = match strategy_keyword {
                 "dedicated" => RepairStrategy::Dedicated,
                 "fcfs" => RepairStrategy::FirstComeFirstServe,
                 "frf" => RepairStrategy::FastestRepairFirst,
@@ -295,8 +337,10 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
 
     if let Some(units) = root.child_named("spare-units") {
         check_attributes(units, &[])?;
+        check_children(units, &["spare-unit"])?;
         for element in units.children_named("spare-unit") {
             check_attributes(element, &["name"])?;
+            check_children(element, &["primary", "spare"])?;
             let unit_name = element.required_attribute("name")?;
             let primaries = element
                 .children_named("primary")
@@ -312,8 +356,10 @@ pub fn from_xml(text: &str) -> Result<ArcadeModel, XmlError> {
 
     if let Some(disasters) = root.child_named("disasters") {
         check_attributes(disasters, &[])?;
+        check_children(disasters, &["disaster"])?;
         for element in disasters.children_named("disaster") {
             check_attributes(element, &["name"])?;
+            check_children(element, &["failed"])?;
             let disaster_name = element.required_attribute("name")?;
             let failed = element
                 .children_named("failed")
@@ -379,7 +425,10 @@ fn structure_from_xml(element: &XmlElement) -> Result<StructureNode, XmlError> {
     };
     check_attributes(element, known)?;
     match element.name.as_str() {
-        "component" => Ok(StructureNode::component(element.required_attribute("ref")?)),
+        "component" => {
+            check_children(element, &[])?;
+            Ok(StructureNode::component(element.required_attribute("ref")?))
+        }
         "series" => Ok(StructureNode::series(
             element
                 .children
@@ -432,10 +481,27 @@ fn check_attributes(element: &XmlElement, known: &[&str]) -> Result<(), XmlError
     }
 }
 
+/// Rejects a child of `element` not named in `known`, so a misspelt or
+/// misplaced element is an error instead of a silently dropped part of the
+/// model.
+fn check_children(element: &XmlElement, known: &[&str]) -> Result<(), XmlError> {
+    match element
+        .children
+        .iter()
+        .find(|child| !known.contains(&child.name.as_str()))
+    {
+        Some(child) => Err(XmlError::Schema {
+            message: format!("unexpected element <{}> in <{}>", child.name, element.name),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The `ref` of a reference element (`<responsible>`, `<failed>`, ...),
-/// its only attribute.
+/// its only attribute; it has no children.
 fn reference(element: &XmlElement) -> Result<String, XmlError> {
     check_attributes(element, &["ref"])?;
+    check_children(element, &[])?;
     Ok(element.required_attribute("ref")?.to_string())
 }
 
@@ -659,6 +725,62 @@ mod tests {
             assert!(message.contains(attribute), "{message}");
             assert!(message.contains(element), "{message}");
         }
+    }
+
+    #[test]
+    fn elements_out_of_place_are_rejected() {
+        // Each document would otherwise load a different model: a unit that
+        // repairs nothing, a model without its disaster, a structure of one
+        // node instead of two.
+        for (document, element, parent) in [
+            (
+                unit_with("").replace("<responsible ref", "<responsibl ref"),
+                "<responsibl>",
+                "<repair-unit>",
+            ),
+            (
+                unit_with("").replace(
+                    "<structure>",
+                    r#"<disaster name="d"><failed ref="a"/></disaster><structure>"#,
+                ),
+                "<disaster>",
+                "<arcade-model>",
+            ),
+            (
+                unit_with("").replace(
+                    r#"<structure><component ref="a"/>"#,
+                    r#"<structure><component ref="a"/><component ref="a"/>"#,
+                ),
+                "<component>",
+                "<structure>",
+            ),
+            (
+                unit_with("").replace("<responsible ref", "<priority ref"),
+                "<priority>",
+                "<repair-unit>",
+            ),
+            (
+                unit_with("").replace("</repair-units>", "</repair-units><repair-units/>"),
+                "<repair-units>",
+                "<arcade-model>",
+            ),
+            (
+                unit_with("").replace(
+                    r#"<responsible ref="a"/>"#,
+                    r#"<responsible ref="a"><failed ref="a"/></responsible>"#,
+                ),
+                "<failed>",
+                "<responsible>",
+            ),
+        ] {
+            let message = schema_message(&document);
+            assert!(message.contains(element), "{message}");
+            assert!(message.contains(parent), "{message}");
+        }
+        // What the writer produces still reads back.
+        assert_eq!(from_xml(&unit_with("")).unwrap().repair_units().len(), 1);
+        let model = sample_model();
+        assert_eq!(from_xml(&to_xml(&model)).unwrap(), model);
     }
 
     #[test]

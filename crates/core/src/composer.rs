@@ -24,19 +24,29 @@
 //!
 //! The walk is breadth-first over packed states. Each state is a
 //! fixed-width key — two status bits per component, then one slot per member
-//! of every queue a repair unit keeps — stored once in an arena and found
-//! through an open-addressing table of indices. The key arena is the only
-//! copy of a state: the state being expanded is decoded from its key into
-//! one reused scratch state, its successors are built in another and packed
-//! to be looked up, and [`CompiledModel::state`] decodes a state on demand.
-//! Each row of the rate matrix goes straight into the chain's compressed
-//! sparse row arrays once its state is expanded.
+//! of every queue a repair unit keeps — stored once in the arena of a
+//! [`KeyTable`], which numbers keys in order of first appearance. The key
+//! arena is the only copy of a state, and [`CompiledModel::state`] decodes
+//! a state on demand.
+//!
+//! Successors are generated per event at the cost of what the event
+//! changes. The state being expanded is decoded from its key, once, into
+//! two scratch states: `source`, and `next`, to which each event is applied
+//! by the rules of the component's repair unit and spare group. `next`
+//! logs every status and queue those rules write, so the successor's key is
+//! the source key with just the logged status fields and queue slots
+//! rewritten, and `next` is then restored by copying the same fields back
+//! from `source`. All successor keys of a state are generated before any is
+//! looked up. Each row of the rate matrix goes straight into the chain's
+//! compressed sparse row arrays once its state is expanded.
+//!
+//! The service level, operational flag and cost rate are evaluated once per
+//! distinct status vector, the service and fault trees by leaf index, with
+//! every structure leaf resolved to its component once per compile.
 
-use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::BTreeMap;
 
-use arcade_lumping::{lump, subchain, InitialPartition, LumpedCtmc};
+use arcade_lumping::{lump, subchain, InitialPartition, KeyTable, LumpedCtmc};
 use arcade_telemetry::Recorder;
 use ctmc::{Ctmc, ExecOptions, RewardStructure};
 use serde::{Deserialize, Serialize};
@@ -346,10 +356,10 @@ impl CompiledModel {
     ///
     /// If `index` is not below the number of states.
     pub fn state(&self, index: usize) -> GlobalState {
-        let mut state = GlobalState::new(Vec::new(), 0);
+        let mut state = self.units.scratch_state();
         self.key_layout
             .unpack(self.state_keys.key(index), &mut state);
-        state
+        state.into_global()
     }
 
     /// Names of the components, in the index order used by [`GlobalState`].
@@ -534,7 +544,7 @@ impl CompiledModel {
         Ok(self.chain.with_initial_state(index)?)
     }
 
-    fn build_disaster_state(&self, disaster: &Disaster) -> Result<GlobalState, ArcadeError> {
+    fn build_disaster_state(&self, disaster: &Disaster) -> Result<ScratchState, ArcadeError> {
         let mut failed = Vec::new();
         for name in disaster.failed_components() {
             let idx = self
@@ -554,7 +564,9 @@ impl CompiledModel {
         // initially-failed components keep their configuration. Queue
         // disasters in dispatch-priority order (ties: the order listed in the
         // disaster), as the paper does when the failure order is unknown.
-        let mut state = self.state(self.initial_index);
+        let mut state = self.units.scratch_state();
+        self.key_layout
+            .unpack(self.state_keys.key(self.initial_index), &mut state);
         failed.sort_by(|&a, &b| {
             let (pa, pb) = (self.units.priority_of(a), self.units.priority_of(b));
             pb.partial_cmp(&pa).unwrap_or(std::cmp::Ordering::Equal)
@@ -595,6 +607,9 @@ struct ResolvedUnit {
     /// `priorities[component]` is the dispatch priority of the component
     /// under the unit's strategy (indexed by global component index).
     priorities: Vec<f64>,
+    /// The members by dispatch priority, highest first, ties in definition
+    /// order: the order a preemptive unit serves its failed members in.
+    service_order: Vec<ComponentIndex>,
     discipline: QueueDiscipline,
 }
 
@@ -635,10 +650,18 @@ impl Units {
                     priorities[c] = ru.strategy().priority_of(&model.components()[c]);
                 }
             }
+            let mut service_order = members.clone();
+            service_order.sort_by(|&a, &b| {
+                priorities[b]
+                    .partial_cmp(&priorities[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
             repair.push(ResolvedUnit {
                 members,
                 crews: ru.effective_crews(),
                 priorities,
+                service_order,
                 discipline: ru.discipline(),
             });
         }
@@ -669,29 +692,29 @@ impl Units {
     /// the place the unit's discipline keeps it: after every waiting
     /// component of at least its priority, at the back, or nowhere (a
     /// preemptive unit keeps no queue).
-    fn enqueue(&self, state: &mut GlobalState, c: ComponentIndex) {
+    fn enqueue(&self, state: &mut ScratchState, c: ComponentIndex) {
         let Some(ru) = self.component_ru[c] else {
             return;
         };
         let unit = &self.repair[ru];
-        let queue = &mut state.queues[ru];
-        match unit.discipline {
+        let queue = state.queue(ru);
+        let pos = match unit.discipline {
             QueueDiscipline::PriorityCanonical => {
                 let priority = unit.priorities[c];
-                let pos = queue
+                queue
                     .iter()
                     .position(|&other| unit.priorities[other] < priority - 1e-12)
-                    .unwrap_or(queue.len());
-                queue.insert(pos, c);
+                    .unwrap_or(queue.len())
             }
-            QueueDiscipline::ArrivalOrder => queue.push(c),
-            QueueDiscipline::Preemptive => {}
-        }
+            QueueDiscipline::ArrivalOrder => queue.len(),
+            QueueDiscipline::Preemptive => return,
+        };
+        state.insert_queued(ru, pos, c);
     }
 
     /// Hands repair unit `ru`'s crews to its failed components after a
     /// failure or repair event, as the unit's discipline prescribes.
-    fn assign_crews(&self, state: &mut GlobalState, ru: usize) {
+    fn assign_crews(&self, state: &mut ScratchState, ru: usize) {
         let unit = &self.repair[ru];
         match unit.discipline {
             QueueDiscipline::PriorityCanonical | QueueDiscipline::ArrivalOrder => {
@@ -707,12 +730,12 @@ impl Units {
     /// disaster start this way.
     fn fail_at_once(
         &self,
-        state: &mut GlobalState,
+        state: &mut ScratchState,
         failed: impl IntoIterator<Item = ComponentIndex>,
     ) {
         for c in failed {
             if !state.statuses[c].is_failed() {
-                state.statuses[c] = ComponentStatus::WaitingForRepair;
+                state.set_status(c, ComponentStatus::WaitingForRepair);
                 self.enqueue(state, c);
             }
         }
@@ -722,6 +745,18 @@ impl Units {
         for ru in 0..self.repair.len() {
             self.assign_crews(state, ru);
         }
+    }
+
+    /// The all-operational state with empty queues, with room in every
+    /// queue for all the unit's members.
+    fn scratch_state(&self) -> ScratchState {
+        ScratchState::new(
+            self.component_ru.len(),
+            self.repair.iter().map(|unit| match unit.discipline {
+                QueueDiscipline::Preemptive => 0,
+                _ => unit.members.len(),
+            }),
+        )
     }
 
     fn priority_of(&self, component: ComponentIndex) -> f64 {
@@ -768,17 +803,15 @@ impl<'a> Composer<'a> {
             .collect();
         let units = Units::new(model)?;
 
-        // Every unit but a preemptive one keeps a queue, of at most one slot
-        // per member.
+        // Every unit but a preemptive one keeps a queue. A component waits
+        // only while every crew of its unit is busy, so once an event's
+        // dispatch is done a unit queues at most `members - crews`.
         let key_layout = KeyLayout::new(
             n,
-            units.repair.len(),
-            units
-                .repair
-                .iter()
-                .enumerate()
-                .filter(|(_, unit)| unit.discipline != QueueDiscipline::Preemptive)
-                .map(|(ru, unit)| (ru, unit.members.len())),
+            units.repair.iter().map(|unit| match unit.discipline {
+                QueueDiscipline::Preemptive => 0,
+                _ => unit.members.len().saturating_sub(unit.crews),
+            }),
         );
 
         Ok(Composer {
@@ -800,16 +833,14 @@ impl<'a> Composer<'a> {
         })
     }
 
-    fn initial_state(&self) -> GlobalState {
-        let n = self.component_names.len();
-        let mut statuses = vec![ComponentStatus::Operational; n];
+    fn initial_state(&self) -> ScratchState {
+        let mut state = self.units.scratch_state();
         // Spares start dormant.
         for group in &self.units.spare {
             for &s in &group.spares {
-                statuses[s] = ComponentStatus::Dormant;
+                state.set_status(s, ComponentStatus::Dormant);
             }
         }
-        let mut state = GlobalState::new(statuses, self.units.repair.len());
         // Initially failed components enter their queues right away.
         let initially_failed = self
             .model
@@ -822,38 +853,23 @@ impl<'a> Composer<'a> {
         state
     }
 
-    /// Writes into `next` the state `source` moves to when component `c`
-    /// fails or finishes repair, and returns the rate of that event; `None`
-    /// when `c` has no event (it waits for a crew, or is a dormant spare that
-    /// cannot fail). `next` keeps its buffers, so this allocates nothing once
-    /// they have grown.
-    fn successor(
-        &self,
-        source: &GlobalState,
-        c: ComponentIndex,
-        next: &mut GlobalState,
-    ) -> Option<f64> {
-        let status = source.statuses[c];
-        let rate = match status {
-            ComponentStatus::Operational => self.failure_rates[c],
+    /// The rate at which component `c` fails or finishes repair when its
+    /// status is `status`; `None` when it has no event (it waits for a crew,
+    /// or is a dormant spare that cannot fail).
+    fn event_rate(&self, c: ComponentIndex, status: ComponentStatus) -> Option<f64> {
+        match status {
+            ComponentStatus::Operational => Some(self.failure_rates[c]),
             ComponentStatus::Dormant => {
-                Some(self.failure_rates[c] * self.dormancy[c]).filter(|&rate| rate > 0.0)?
+                Some(self.failure_rates[c] * self.dormancy[c]).filter(|&rate| rate > 0.0)
             }
-            ComponentStatus::UnderRepair => self.repair_rates[c],
-            ComponentStatus::WaitingForRepair => return None,
-        };
-        next.clone_from(source);
-        if status == ComponentStatus::UnderRepair {
-            self.apply_repair(next, c);
-        } else {
-            self.apply_failure(next, c);
+            ComponentStatus::UnderRepair => Some(self.repair_rates[c]),
+            ComponentStatus::WaitingForRepair => None,
         }
-        Some(rate)
     }
 
-    fn apply_failure(&self, state: &mut GlobalState, c: ComponentIndex) {
+    fn apply_failure(&self, state: &mut ScratchState, c: ComponentIndex) {
         let was_active = state.statuses[c] == ComponentStatus::Operational;
-        state.statuses[c] = ComponentStatus::WaitingForRepair;
+        state.set_status(c, ComponentStatus::WaitingForRepair);
         self.units.enqueue(state, c);
         // Spare activation: a failed *active* component of a spare-managed group
         // is replaced by a dormant spare of the same group, if one is available.
@@ -867,14 +883,14 @@ impl<'a> Composer<'a> {
         }
     }
 
-    fn apply_repair(&self, state: &mut GlobalState, c: ComponentIndex) {
-        state.statuses[c] = ComponentStatus::Operational;
+    fn apply_repair(&self, state: &mut ScratchState, c: ComponentIndex) {
+        state.set_status(c, ComponentStatus::Operational);
         if let Some(smu) = self.units.component_smu[c] {
             // A repaired spare goes back to dormant unless it is still needed;
             // a repaired primary sends a no-longer-needed spare back to dormant.
             let group = &self.units.spare[smu];
             if group.spares.contains(&c) {
-                state.statuses[c] = ComponentStatus::Dormant;
+                state.set_status(c, ComponentStatus::Dormant);
             }
             rebalance_spares(state, group);
         }
@@ -883,7 +899,7 @@ impl<'a> Composer<'a> {
         }
     }
 
-    fn state_cost(&self, state: &GlobalState) -> f64 {
+    fn state_cost(&self, state: &ScratchState) -> f64 {
         let mut cost = 0.0;
         for (idx, component) in self.model.components().iter().enumerate() {
             if state.statuses[idx].is_failed() {
@@ -901,9 +917,6 @@ impl<'a> Composer<'a> {
     }
 
     fn explore(self) -> Result<CompiledModel, ArcadeError> {
-        let service_tree = self.model.service_tree();
-        let degraded_tree = self.model.degraded_fault_tree();
-
         // Under compositional lumping the frontier runs over canonical orbit
         // representatives: every generated state is first mapped to its
         // family-wise canonical form (sibling-leaf families and whole
@@ -912,7 +925,7 @@ impl<'a> Composer<'a> {
         let compositional = self.options.lumping == LumpingMode::Compositional
             && (self.families.iter().any(|f| !f.is_singleton())
                 || !self.subtree_families.is_empty());
-        let canonicalize = |state: &mut GlobalState| {
+        let canonicalize = |state: &mut ScratchState| {
             if compositional {
                 canonicalize_state(
                     state,
@@ -926,9 +939,9 @@ impl<'a> Composer<'a> {
         let layout = &self.key_layout;
         let mut key = vec![0; layout.words];
         let mut keys = KeyTable::new(layout.words);
-        let mut initial = self.initial_state();
-        canonicalize(&mut initial);
-        layout.pack(&initial, &mut key);
+        let mut source = self.initial_state();
+        canonicalize(&mut source);
+        layout.pack(&source, &mut key);
         let vacant = keys.find(&key).expect_err("an empty table holds no key");
         keys.insert(vacant, &key);
 
@@ -936,40 +949,56 @@ impl<'a> Composer<'a> {
         // (canonical) successor is numbered the first time it is seen, so the
         // numbering and the transition order depend on the model alone. The
         // key arena is the only copy of each state: the state being expanded
-        // is decoded from its key into the scratch state `source`, and each
-        // successor is built in the scratch state `next`, packed and looked
-        // up by its key. Row `current` of the rate matrix is complete once
-        // `current` is expanded: its targets are sorted, parallel events
-        // summed in emission order (only canonicalisation merges events, and
-        // merged events share one rate), and the row appended to the CSR
-        // arrays.
+        // is decoded from its key into the scratch states `source` and
+        // `next`. Each event is applied to `next`, which logs the fields it
+        // writes; the successor's key is the source key with just those
+        // fields rewritten, and `next` then copies them back from `source`.
+        // Row `current` of the rate matrix is complete once `current` is
+        // expanded: its targets are sorted, parallel events summed in
+        // emission order (only canonicalisation merges events, and merged
+        // events share one rate), and the row appended to the CSR arrays.
         let max_states = self.options.max_states;
-        let mut next = initial.clone();
-        let mut source = initial;
+        let mut next = source.clone();
+        let mut source_key = key.clone();
         let mut row: Vec<(usize, f64)> = Vec::new();
+        let mut successors: Vec<u64> = Vec::new();
         let (mut row_offsets, mut cols, mut rates) = (vec![0], Vec::new(), Vec::new());
         let mut current = 0;
         while current < keys.len() {
-            layout.unpack(keys.key(current), &mut source);
+            source_key.copy_from_slice(keys.key(current));
+            layout.unpack(&source_key, &mut source);
+            next.clone_from(&source);
             row.clear();
+            successors.clear();
             for c in 0..source.statuses.len() {
-                let Some(rate) = self.successor(&source, c, &mut next) else {
+                let status = source.statuses[c];
+                let Some(rate) = self.event_rate(c, status) else {
                     continue;
                 };
+                if status == ComponentStatus::UnderRepair {
+                    self.apply_repair(&mut next, c);
+                } else {
+                    self.apply_failure(&mut next, c);
+                }
                 canonicalize(&mut next);
-                layout.pack(&next, &mut key);
-                let target = match keys.find(&key) {
+                let start = successors.len();
+                successors.extend_from_slice(&source_key);
+                layout.rewrite(&mut successors[start..], &next, &source);
+                next.revert_to(&source);
+                row.push((0, rate));
+            }
+            for (key, (target, _)) in successors.chunks_exact(layout.words).zip(&mut row) {
+                *target = match keys.find(key) {
                     Ok(index) => index,
                     Err(_) if keys.len() >= max_states => {
                         return Err(ArcadeError::StateSpaceTooLarge { limit: max_states });
                     }
                     Err(vacant) => {
                         let limit = keys.len();
-                        keys.insert(vacant, &key)
+                        keys.insert(vacant, key)
                             .ok_or(ArcadeError::StateSpaceTooLarge { limit })?
                     }
                 };
-                row.push((target, rate));
             }
             row.sort_by_key(|&(target, _)| target);
             for events in row.chunk_by(|a, b| a.0 == b.0) {
@@ -983,12 +1012,20 @@ impl<'a> Composer<'a> {
         // Per-state metadata: service level, operational flag and cost rate.
         // All three read the statuses alone, so they are evaluated once per
         // distinct status vector (the status bits of the key), on a state
-        // decoded only then, and copied to every state that shares it.
-        let component_of: HashMap<&str, usize> = self
-            .component_names
-            .iter()
-            .enumerate()
-            .map(|(index, name)| (name.as_str(), index))
+        // decoded only then, and copied to every state that shares it. The
+        // trees are evaluated by leaf, each leaf resolved to its component
+        // once here.
+        let service_tree = self.model.service_tree();
+        let degraded_tree = self.model.degraded_fault_tree();
+        let leaf_component: Vec<ComponentIndex> = self
+            .model
+            .structure()
+            .leaves()
+            .map(|name| {
+                self.model
+                    .component_index(name)
+                    .expect("the model builder checked every structure leaf")
+            })
             .collect();
         let mut status_key = vec![0; layout.status_words()];
         let mut status_keys = KeyTable::new(status_key.len());
@@ -1006,22 +1043,13 @@ impl<'a> Composer<'a> {
                         .insert(vacant, &status_key)
                         .expect("there are no more status vectors than states");
                     layout.unpack(keys.key(index), &mut source);
-                    let state = &source;
-                    let provides = |name: &str| -> f64 {
-                        match component_of.get(name) {
-                            Some(&c) if state.statuses[c].provides_service() => 1.0,
-                            _ => 0.0,
-                        }
-                    };
-                    let failed = |name: &str| -> bool {
-                        component_of
-                            .get(name)
-                            .is_some_and(|&c| !state.statuses[c].provides_service())
-                    };
+                    let provides =
+                        |leaf: usize| source.statuses[leaf_component[leaf]].provides_service();
                     let metadata = (
-                        service_tree.service_level(provides),
-                        !degraded_tree.is_failed(failed),
-                        self.state_cost(state),
+                        service_tree
+                            .service_level_by_leaf(|leaf| if provides(leaf) { 1.0 } else { 0.0 }),
+                        !degraded_tree.is_failed_by_leaf(|leaf| !provides(leaf)),
+                        self.state_cost(&source),
                     );
                     status_metadata.push(metadata);
                     metadata
@@ -1069,19 +1097,19 @@ impl<'a> Composer<'a> {
 ///
 /// A key is one little-endian bit string over [`KeyLayout::words`] words:
 /// two bits per component holding its [`status_rank`], in component order,
-/// then the queue of every repair unit that keeps one as one slot per member
-/// of the unit, each slot holding `component + 1`, or 0 when empty. Status
+/// then the queue of every repair unit that keeps one, as one slot per
+/// member the unit can keep waiting (its members minus its crews), each slot
+/// holding `component + 1`, or 0 when empty. Status
 /// fields never straddle a word; queue slots may. A state is its statuses
 /// plus an ordered queue of distinct members per such unit (preemptive units
 /// keep no queue), so two states pack to equal keys exactly when they are
-/// equal.
+/// equal. Every word is built in a register and stored once.
 #[derive(Debug, Clone)]
 struct KeyLayout {
     num_components: usize,
-    /// Repair units, with a queue in the key or not.
-    num_units: usize,
-    /// `(repair unit, first bit, slots)` of every queue in the key.
-    queues: Vec<(usize, usize, usize)>,
+    /// `(first bit, slots)` of every repair unit's queue; a unit without a
+    /// queue in the key has no slots.
+    queues: Vec<(usize, usize)>,
     /// Width of a queue slot: enough bits to hold `num_components`.
     slot_bits: usize,
     /// Words per key.
@@ -1089,27 +1117,21 @@ struct KeyLayout {
 }
 
 impl KeyLayout {
-    /// Lays out `num_components` statuses followed by one queue of `slots`
-    /// slots per `(repair unit, slots)` pair, in the order given, for a model
-    /// with `num_units` repair units.
-    fn new(
-        num_components: usize,
-        num_units: usize,
-        queues: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Self {
+    /// Lays out `num_components` statuses followed by the queue of every
+    /// repair unit, in unit order, with the given number of slots each.
+    fn new(num_components: usize, slots: impl IntoIterator<Item = usize>) -> Self {
         let slot_bits = (usize::BITS - num_components.leading_zeros()) as usize;
         let mut next_bit = 2 * num_components;
-        let queues = queues
+        let queues = slots
             .into_iter()
-            .map(|(ru, slots)| {
-                let field = (ru, next_bit, slots);
+            .map(|slots| {
+                let field = (next_bit, slots);
                 next_bit += slots * slot_bits;
                 field
             })
             .collect();
         KeyLayout {
             num_components,
-            num_units,
             queues,
             slot_bits,
             words: next_bit.div_ceil(64).max(1),
@@ -1122,46 +1144,32 @@ impl KeyLayout {
     }
 
     /// Packs `state` into `key`, which holds [`KeyLayout::words`] words.
-    fn pack(&self, state: &GlobalState, key: &mut [u64]) {
+    fn pack(&self, state: &ScratchState, key: &mut [u64]) {
         key.fill(0);
-        for (c, &status) in state.statuses.iter().enumerate() {
-            key[c / 32] |= u64::from(status_rank(status)) << (2 * (c % 32));
+        for (word, statuses) in key.iter_mut().zip(state.statuses.chunks(32)) {
+            *word = statuses.iter().rev().fold(0, |bits, &status| {
+                bits << 2 | u64::from(status_rank(status))
+            });
         }
-        for &(ru, first_bit, slots) in &self.queues {
-            let queue = &state.queues[ru];
-            assert!(
-                queue.len() <= slots,
-                "repair unit {ru} queues more components than it has members"
-            );
-            for (slot, &component) in queue.iter().enumerate() {
-                let bit = first_bit + slot * self.slot_bits;
-                let (word, shift) = (bit / 64, bit % 64);
-                let value = component as u64 + 1;
-                key[word] |= value << shift;
-                if shift + self.slot_bits > 64 {
-                    key[word + 1] |= value >> (64 - shift);
-                }
-            }
+        for ru in 0..self.queues.len() {
+            self.write_queue(key, ru, state.queue(ru), 0);
         }
     }
 
-    /// Decodes `key` into `state`, reusing its buffers: the inverse of
-    /// [`KeyLayout::pack`]. A unit without a queue in the key gets an empty
-    /// one.
-    fn unpack(&self, key: &[u64], state: &mut GlobalState) {
-        state.statuses.clear();
-        state.statuses.extend(
-            (0..self.num_components)
-                .map(|c| status_from_rank((key[c / 32] >> (2 * (c % 32))) as u8 & 3)),
-        );
-        state.queues.resize_with(self.num_units, Vec::new);
-        for queue in &mut state.queues {
-            queue.clear();
+    /// Decodes `key` into `state`, the inverse of [`KeyLayout::pack`], and
+    /// clears the state's log.
+    fn unpack(&self, key: &[u64], state: &mut ScratchState) {
+        for (statuses, &bits) in state.statuses.chunks_mut(32).zip(key) {
+            for (field, status) in statuses.iter_mut().enumerate() {
+                *status = status_from_rank((bits >> (2 * field)) as u8 & 3);
+            }
         }
         let slot_mask = (1 << self.slot_bits) - 1;
-        for &(ru, first_bit, slots) in &self.queues {
-            for slot in 0..slots {
-                let bit = first_bit + slot * self.slot_bits;
+        for (ru, &(first_bit, slots)) in self.queues.iter().enumerate() {
+            let start = state.starts[ru];
+            let mut len = 0;
+            while len < slots {
+                let bit = first_bit + len * self.slot_bits;
                 let (word, shift) = (bit / 64, bit % 64);
                 let mut value = key[word] >> shift;
                 if shift + self.slot_bits > 64 {
@@ -1169,9 +1177,64 @@ impl KeyLayout {
                 }
                 match value & slot_mask {
                     0 => break,
-                    value => state.queues[ru].push(value as usize - 1),
+                    value => state.queued[start + len] = value as usize - 1,
                 }
+                len += 1;
             }
+            state.lens[ru] = len;
+        }
+        state.clear_log();
+    }
+
+    /// Turns `key`, the key of `source`, into the key of `next`, which
+    /// differs from `source` only in the fields `next` has logged.
+    fn rewrite(&self, key: &mut [u64], next: &ScratchState, source: &ScratchState) {
+        for &c in &next.written {
+            let (word, shift) = (c / 32, 2 * (c % 32));
+            let rank = u64::from(status_rank(next.statuses[c]));
+            key[word] = key[word] & !(3 << shift) | rank << shift;
+        }
+        for &ru in &next.requeued {
+            self.write_queue(key, ru, next.queue(ru), source.queue(ru).len());
+        }
+    }
+
+    /// Writes `queue` into the leading slots of unit `ru`'s queue in `key`
+    /// and empties the slots after it among the first `stale`, building each
+    /// word in a register; every other bit keeps its value.
+    fn write_queue(&self, key: &mut [u64], ru: usize, queue: &[ComponentIndex], stale: usize) {
+        let (first_bit, room) = self.queues[ru];
+        assert!(
+            queue.len() <= room,
+            "repair unit {ru} queues more components than its key has slots for"
+        );
+        let slots = queue.len().max(stale);
+        if slots == 0 {
+            return;
+        }
+        let low = |bits: usize| (1u64 << bits) - 1;
+        let width = self.slot_bits;
+        let (mut word, mut shift) = (first_bit / 64, first_bit % 64);
+        // The word being built, starting from the bits below the field.
+        let mut bits = key[word] & low(shift);
+        for slot in 0..slots {
+            let value = queue.get(slot).map_or(0, |&c| c as u64 + 1);
+            bits |= value << shift;
+            shift += width;
+            if shift >= 64 {
+                key[word] = bits;
+                word += 1;
+                shift -= 64;
+                // What is left of a slot that straddles the word boundary.
+                bits = if shift == 0 {
+                    0
+                } else {
+                    value >> (width - shift)
+                };
+            }
+        }
+        if shift > 0 {
+            key[word] = bits | key[word] & !low(shift);
         }
     }
 
@@ -1187,109 +1250,164 @@ impl KeyLayout {
     }
 }
 
-/// Packed keys, each stored once in an arena in insertion order and found
-/// again through an open-addressing table of their indices.
+/// A state as the rules ([`Units::enqueue`], [`Units::assign_crews`] and
+/// the dispatch and spare rules it calls) and [`canonicalize_state`] read
+/// and write it: a status per component, and the queue of every repair unit
+/// as one slice of a flat buffer with room for the unit's key slots.
 ///
-/// Each slot pairs a key's index with a 32-bit tag taken from its hash, so
-/// a probe reads the arena only when the tags agree. The hasher is seeded
-/// per table, since keys derive from models that can come from outside
-/// input; indices follow insertion order, so the seed never changes one.
-/// On the `arcadebench` `paper-tables` pass (2 vCPU, release), a std
-/// `HashMap<Box<[u64]>, u32>` with the same hasher in place of this table
-/// made composition about 29% slower per state.
-#[derive(Debug, Clone)]
-struct KeyTable {
-    /// Words per key.
-    words: usize,
-    /// Key `i` is `keys[i * words..(i + 1) * words]`.
-    keys: Vec<u64>,
-    /// `(tag, index)` per slot: a power of two of them, at most half in use.
-    /// Tags are odd, so tag 0 marks an empty slot.
-    slots: Vec<(u32, u32)>,
-    hasher: RandomState,
+/// The state logs the components and units whose fields it writes, so the
+/// walk applies an event to a copy of the state being expanded, rewrites
+/// only the logged fields of that state's key ([`KeyLayout::rewrite`]) and
+/// copies the same fields back ([`ScratchState::revert_to`]): an event costs
+/// what it changes, not what the state holds.
+#[derive(Debug)]
+struct ScratchState {
+    statuses: Vec<ComponentStatus>,
+    /// Unit `ru`'s queue is `queued[starts[ru]..starts[ru] + lens[ru]]`, and
+    /// its room ends at `starts[ru + 1]`.
+    queued: Vec<ComponentIndex>,
+    starts: Vec<usize>,
+    lens: Vec<usize>,
+    /// Components whose status changed since the log was cleared, in
+    /// order; one may appear more than once.
+    written: Vec<ComponentIndex>,
+    /// Units whose queue changed since the log was cleared, each once.
+    requeued: Vec<usize>,
 }
 
-/// Where [`KeyTable::find`] stopped without finding its key: the empty slot
-/// an insert of that key fills, and the key's tag.
-struct Vacant {
-    slot: usize,
-    tag: u32,
-}
-
-impl KeyTable {
-    fn new(words: usize) -> Self {
-        KeyTable {
-            words,
-            keys: Vec::new(),
-            slots: vec![(0, 0); 16],
-            hasher: RandomState::new(),
+impl Clone for ScratchState {
+    fn clone(&self) -> Self {
+        ScratchState {
+            statuses: self.statuses.clone(),
+            queued: self.queued.clone(),
+            starts: self.starts.clone(),
+            lens: self.lens.clone(),
+            written: self.written.clone(),
+            requeued: self.requeued.clone(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.keys.len() / self.words
-    }
-
-    fn key(&self, index: usize) -> &[u64] {
-        &self.keys[index * self.words..(index + 1) * self.words]
-    }
-
-    /// The home slot is taken from the low bits of the hash, the tag from
-    /// the high 32.
-    fn hash(&self, key: &[u64]) -> u64 {
-        let mut hasher = self.hasher.build_hasher();
-        for &word in key {
-            hasher.write_u64(word);
-        }
-        hasher.finish()
-    }
-
-    /// The index of `key`, or where inserting it goes.
-    fn find(&self, key: &[u64]) -> Result<usize, Vacant> {
-        let hash = self.hash(key);
-        let tag = (hash >> 32) as u32 | 1;
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                (0, _) => return Err(Vacant { slot, tag }),
-                (seen, index) if seen == tag && self.key(index as usize) == key => {
-                    return Ok(index as usize)
-                }
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Stores `key`, for which [`KeyTable::find`] just returned `vacant`, as
-    /// the next index and returns that index; `None` when it does not fit
-    /// in 32 bits.
-    fn insert(&mut self, vacant: Vacant, key: &[u64]) -> Option<usize> {
-        let index = self.len();
-        self.slots[vacant.slot] = (vacant.tag, u32::try_from(index).ok()?);
-        self.keys.extend_from_slice(key);
-        if 2 * (index + 1) > self.slots.len() {
-            self.grow();
-        }
-        Some(index)
-    }
-
-    /// Doubles the table and places every key again from its hash.
-    fn grow(&mut self) {
-        let doubled = vec![(0, 0); 2 * self.slots.len()];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for (tag, index) in old.into_iter().filter(|&(tag, _)| tag != 0) {
-            let mut slot = self.hash(self.key(index as usize)) as usize & mask;
-            while self.slots[slot].0 != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = (tag, index);
-        }
+    /// Copies `source` into this state's existing buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.statuses.clone_from(&source.statuses);
+        self.queued.clone_from(&source.queued);
+        self.starts.clone_from(&source.starts);
+        self.lens.clone_from(&source.lens);
+        self.written.clone_from(&source.written);
+        self.requeued.clone_from(&source.requeued);
     }
 }
 
-/// Maps a global state to the canonical representative of its orbit under the
+impl ScratchState {
+    /// The all-operational state of `num_components` components with empty
+    /// queues, with the given room in every unit's queue.
+    fn new(num_components: usize, room: impl IntoIterator<Item = usize>) -> Self {
+        let mut starts = vec![0];
+        for room in room {
+            starts.push(starts[starts.len() - 1] + room);
+        }
+        ScratchState {
+            statuses: vec![ComponentStatus::Operational; num_components],
+            queued: vec![0; starts[starts.len() - 1]],
+            lens: vec![0; starts.len() - 1],
+            starts,
+            written: Vec::new(),
+            requeued: Vec::new(),
+        }
+    }
+
+    fn set_status(&mut self, c: ComponentIndex, status: ComponentStatus) {
+        if self.statuses[c] != status {
+            self.statuses[c] = status;
+            self.written.push(c);
+        }
+    }
+
+    /// Unit `ru`'s queue, front first.
+    fn queue(&self, ru: usize) -> &[ComponentIndex] {
+        let start = self.starts[ru];
+        &self.queued[start..start + self.lens[ru]]
+    }
+
+    /// Puts `c` at position `pos` of unit `ru`'s queue.
+    fn insert_queued(&mut self, ru: usize, pos: usize, c: ComponentIndex) {
+        let (start, len) = (self.starts[ru], self.lens[ru]);
+        assert!(
+            start + len < self.starts[ru + 1],
+            "repair unit {ru} queues more components than it has members"
+        );
+        self.queued
+            .copy_within(start + pos..start + len, start + pos + 1);
+        self.queued[start + pos] = c;
+        self.lens[ru] += 1;
+        self.log_queue(ru);
+    }
+
+    /// Takes the component at position `pos` out of unit `ru`'s queue.
+    fn remove_queued(&mut self, ru: usize, pos: usize) -> ComponentIndex {
+        let (start, len) = (self.starts[ru], self.lens[ru]);
+        let c = self.queued[start + pos];
+        self.queued
+            .copy_within(start + pos + 1..start + len, start + pos);
+        self.lens[ru] -= 1;
+        self.log_queue(ru);
+        c
+    }
+
+    /// Puts `c` into position `pos` of unit `ru`'s queue in place of the
+    /// component there.
+    fn set_queued(&mut self, ru: usize, pos: usize, c: ComponentIndex) {
+        let at = self.starts[ru] + pos;
+        debug_assert!(pos < self.lens[ru], "position {pos} is not in the queue");
+        if self.queued[at] != c {
+            self.queued[at] = c;
+            self.log_queue(ru);
+        }
+    }
+
+    fn log_queue(&mut self, ru: usize) {
+        if !self.requeued.contains(&ru) {
+            self.requeued.push(ru);
+        }
+    }
+
+    fn clear_log(&mut self) {
+        self.written.clear();
+        self.requeued.clear();
+    }
+
+    /// Copies every logged field back from `source` and clears the log.
+    fn revert_to(&mut self, source: &ScratchState) {
+        for &c in &self.written {
+            self.statuses[c] = source.statuses[c];
+        }
+        for &ru in &self.requeued {
+            let (start, len) = (source.starts[ru], source.lens[ru]);
+            self.queued[start..start + len].copy_from_slice(&source.queued[start..start + len]);
+            self.lens[ru] = len;
+        }
+        self.clear_log();
+    }
+
+    /// Number of the given components under repair.
+    fn num_under_repair(&self, components: &[ComponentIndex]) -> usize {
+        components
+            .iter()
+            .filter(|&&c| self.statuses[c] == ComponentStatus::UnderRepair)
+            .count()
+    }
+
+    fn into_global(self) -> GlobalState {
+        GlobalState {
+            queues: (0..self.lens.len())
+                .map(|ru| self.queue(ru).to_vec())
+                .collect(),
+            statuses: self.statuses,
+        }
+    }
+}
+
+/// Maps a state to the canonical representative of its orbit under the
 /// permutation group of the interchangeable-component families **and** the
 /// isomorphic-subtree families.
 ///
@@ -1308,35 +1426,33 @@ impl KeyTable {
 /// resulting state is the unique representative of its orbit under the full
 /// wreath-product group (a multiset of multisets, sorted inside-out).
 fn canonicalize_state(
-    state: &mut GlobalState,
+    state: &mut ScratchState,
     families: &[ComponentFamily],
     subtree_families: &[SubtreeFamily],
     component_ru: &[Option<usize>],
 ) {
+    let role = |state: &ScratchState, c: ComponentIndex| {
+        let queue_slot = component_ru[c]
+            .and_then(|r| state.queue(r).iter().position(|&x| x == c))
+            .unwrap_or(usize::MAX);
+        (status_rank(state.statuses[c]), queue_slot)
+    };
+    let assign = |state: &mut ScratchState, c: ComponentIndex, (rank, queue_slot): (u8, usize)| {
+        state.set_status(c, status_from_rank(rank));
+        if queue_slot != usize::MAX {
+            if let Some(r) = component_ru[c] {
+                state.set_queued(r, queue_slot, c);
+            }
+        }
+    };
     for family in families {
         if family.is_singleton() {
             continue;
         }
-        let ru = component_ru[family.members[0]];
-        let mut roles: Vec<(u8, usize)> = family
-            .members
-            .iter()
-            .map(|&c| {
-                let queue_slot = ru
-                    .and_then(|r| state.queues[r].iter().position(|&x| x == c))
-                    .unwrap_or(usize::MAX);
-                (status_rank(state.statuses[c]), queue_slot)
-            })
-            .collect();
+        let mut roles: Vec<(u8, usize)> = family.members.iter().map(|&c| role(state, c)).collect();
         subchain::canonical_roles(&mut roles);
-        for (slot, &(rank, queue_slot)) in roles.iter().enumerate() {
-            let member = family.members[slot];
-            state.statuses[member] = status_from_rank(rank);
-            if queue_slot != usize::MAX {
-                if let Some(r) = ru {
-                    state.queues[r][queue_slot] = member;
-                }
-            }
+        for (&member, &role) in family.members.iter().zip(&roles) {
+            assign(state, member, role);
         }
     }
     // Subtree families, deepest first (the detector's order): sort the
@@ -1346,29 +1462,13 @@ fn canonicalize_state(
         let roles: Vec<Vec<(u8, usize)>> = family
             .blocks
             .iter()
-            .map(|block| {
-                block
-                    .iter()
-                    .map(|&leaf| {
-                        let queue_slot = component_ru[leaf]
-                            .and_then(|r| state.queues[r].iter().position(|&x| x == leaf))
-                            .unwrap_or(usize::MAX);
-                        (status_rank(state.statuses[leaf]), queue_slot)
-                    })
-                    .collect()
-            })
+            .map(|block| block.iter().map(|&leaf| role(state, leaf)).collect())
             .collect();
         let mut order: Vec<usize> = (0..family.blocks.len()).collect();
         order.sort_by(|&a, &b| roles[a].cmp(&roles[b]).then(a.cmp(&b)));
         for (target, &source) in order.iter().enumerate() {
-            for (leaf_slot, &(rank, queue_slot)) in roles[source].iter().enumerate() {
-                let leaf = family.blocks[target][leaf_slot];
-                state.statuses[leaf] = status_from_rank(rank);
-                if queue_slot != usize::MAX {
-                    if let Some(r) = component_ru[leaf] {
-                        state.queues[r][queue_slot] = leaf;
-                    }
-                }
+            for (&leaf, &role) in family.blocks[target].iter().zip(&roles[source]) {
+                assign(state, leaf, role);
             }
         }
     }
@@ -1396,54 +1496,46 @@ fn status_from_rank(rank: u8) -> ComponentStatus {
 /// Preemptive crew assignment: the crews always serve the highest-priority
 /// failed members of the unit (ties broken by component definition order);
 /// everything else waits. No queue is needed in the state.
-fn dispatch_preemptive(state: &mut GlobalState, unit: &ResolvedUnit) {
-    let priorities = &unit.priorities;
-    let mut failed: Vec<ComponentIndex> = unit
-        .members
-        .iter()
-        .copied()
-        .filter(|&c| state.statuses[c].is_failed())
-        .collect();
-    failed.sort_by(|&a, &b| {
-        priorities[b]
-            .partial_cmp(&priorities[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    for (rank, &c) in failed.iter().enumerate() {
-        state.statuses[c] = if rank < unit.crews {
-            ComponentStatus::UnderRepair
-        } else {
-            ComponentStatus::WaitingForRepair
-        };
+fn dispatch_preemptive(state: &mut ScratchState, unit: &ResolvedUnit) {
+    let mut free = unit.crews;
+    for &c in &unit.service_order {
+        if state.statuses[c].is_failed() {
+            let status = if free > 0 {
+                free -= 1;
+                ComponentStatus::UnderRepair
+            } else {
+                ComponentStatus::WaitingForRepair
+            };
+            state.set_status(c, status);
+        }
     }
 }
 
 /// Assigns free crews of repair unit `ru` to the highest-priority waiting
 /// components (non-preemptive dispatch, FCFS tie-break).
-fn dispatch(state: &mut GlobalState, ru: usize, unit: &ResolvedUnit) {
-    loop {
-        let busy = state.num_under_repair(&unit.members);
-        if busy >= unit.crews || state.queues[ru].is_empty() {
-            return;
-        }
+fn dispatch(state: &mut ScratchState, ru: usize, unit: &ResolvedUnit) {
+    // Every queued component is waiting, so each round adds one busy crew.
+    let mut busy = state.num_under_repair(&unit.members);
+    while busy < unit.crews && !state.queue(ru).is_empty() {
         // Select the waiting component with the highest priority; the earliest
         // arrival wins ties (scan keeps the first maximum).
+        let queue = state.queue(ru);
         let mut best_pos = 0;
-        for (pos, &candidate) in state.queues[ru].iter().enumerate() {
-            if unit.priorities[candidate] > unit.priorities[state.queues[ru][best_pos]] + 1e-12 {
+        for (pos, &candidate) in queue.iter().enumerate() {
+            if unit.priorities[candidate] > unit.priorities[queue[best_pos]] + 1e-12 {
                 best_pos = pos;
             }
         }
-        let chosen = state.queues[ru].remove(best_pos);
-        state.statuses[chosen] = ComponentStatus::UnderRepair;
+        let chosen = state.remove_queued(ru, best_pos);
+        state.set_status(chosen, ComponentStatus::UnderRepair);
+        busy += 1;
     }
 }
 
 /// Activates dormant spares while active capacity is missing and deactivates
 /// surplus operational spares, keeping the number of service-providing
 /// components of the group at the number of primaries whenever possible.
-fn rebalance_spares(state: &mut GlobalState, group: &SpareGroup) {
+fn rebalance_spares(state: &mut ScratchState, group: &SpareGroup) {
     let (primaries, spares) = (&group.primaries, &group.spares);
     let desired = primaries.len();
     loop {
@@ -1458,7 +1550,7 @@ fn rebalance_spares(state: &mut GlobalState, group: &SpareGroup) {
                 .iter()
                 .find(|&&s| state.statuses[s] == ComponentStatus::Dormant)
             {
-                Some(&s) => state.statuses[s] = ComponentStatus::Operational,
+                Some(&s) => state.set_status(s, ComponentStatus::Operational),
                 None => return,
             }
         } else if active > desired {
@@ -1468,7 +1560,7 @@ fn rebalance_spares(state: &mut GlobalState, group: &SpareGroup) {
                 .rev()
                 .find(|&&s| state.statuses[s] == ComponentStatus::Operational)
             {
-                Some(&s) => state.statuses[s] = ComponentStatus::Dormant,
+                Some(&s) => state.set_status(s, ComponentStatus::Dormant),
                 None => return,
             }
         } else {
@@ -2036,25 +2128,85 @@ mod tests {
             state
         }
 
+        /// A scratch state with as much room as `layout` has key slots.
+        fn scratch_for(layout: &KeyLayout) -> ScratchState {
+            ScratchState::new(
+                layout.num_components,
+                layout.queues.iter().map(|&(_, slots)| slots),
+            )
+        }
+
+        /// `state` as the rules see it, with an empty log.
+        fn scratch(layout: &KeyLayout, state: &GlobalState) -> ScratchState {
+            let mut scratch = scratch_for(layout);
+            for (c, &status) in state.statuses.iter().enumerate() {
+                scratch.set_status(c, status);
+            }
+            for (ru, queue) in state.queues.iter().enumerate() {
+                for (pos, &c) in queue.iter().enumerate() {
+                    scratch.insert_queued(ru, pos, c);
+                }
+            }
+            scratch.clear_log();
+            scratch
+        }
+
         fn packed(layout: &KeyLayout, state: &GlobalState) -> Vec<u64> {
             // Start from a dirty buffer: packing must clear it.
             let mut key = vec![u64::MAX; layout.words];
-            layout.pack(state, &mut key);
+            layout.pack(&scratch(layout, state), &mut key);
             key
         }
 
         fn unpacked(layout: &KeyLayout, key: &[u64]) -> GlobalState {
             // Start from a dirty state: unpacking must replace all of it.
-            let mut state = GlobalState::new(vec![ComponentStatus::Dormant; 3], 7);
-            state.queues[0] = vec![5, 1];
-            layout.unpack(key, &mut state);
+            let mut state = scratch_for(layout);
+            state.statuses.fill(ComponentStatus::Dormant);
+            state.queued.fill(7);
             state
+                .lens
+                .iter_mut()
+                .zip(layout.queues.iter())
+                .for_each(|(len, &(_, slots))| *len = slots);
+            layout.unpack(key, &mut state);
+            state.into_global()
         }
 
         fn status_part(layout: &KeyLayout, key: &[u64]) -> Vec<u64> {
             let mut status = vec![u64::MAX; layout.status_words()];
             layout.status_bits(key, &mut status);
             status
+        }
+
+        /// One logged write to a scratch state: the changes the rules make.
+        #[derive(Debug, Clone, Copy)]
+        enum Write {
+            Status(ComponentIndex, ComponentStatus),
+            Insert(usize, usize, ComponentIndex),
+            Remove(usize, usize),
+            Replace(usize, usize, ComponentIndex),
+        }
+
+        fn apply(state: &mut GlobalState, write: Write) {
+            match write {
+                Write::Status(c, status) => state.statuses[c] = status,
+                Write::Insert(ru, pos, c) => state.queues[ru].insert(pos, c),
+                Write::Remove(ru, pos) => {
+                    state.queues[ru].remove(pos);
+                }
+                Write::Replace(ru, pos, c) => state.queues[ru][pos] = c,
+            }
+        }
+
+        fn log(state: &mut ScratchState, write: Write) {
+            match write {
+                Write::Status(c, status) => state.set_status(c, status),
+                Write::Insert(ru, pos, c) => state.insert_queued(ru, pos, c),
+                Write::Remove(ru, pos) => {
+                    state.remove_queued(ru, pos);
+                }
+                Write::Replace(ru, pos, c) => state.set_queued(ru, pos, c),
+            }
         }
 
         proptest! {
@@ -2065,7 +2217,9 @@ mod tests {
             /// states pack to equal keys, a change to one status or one
             /// queue slot changes the key, and every key unpacks to the
             /// state it was packed from. The status part of the key follows
-            /// the statuses alone.
+            /// the statuses alone. Each change, made through the logged
+            /// writes of a scratch state, rewrites the original key into
+            /// the changed state's key, and reverting restores the original.
             #[test]
             fn one_field_apart_is_one_key_apart(
                 unit_of in proptest::collection::vec(0usize..=4, 1..=40),
@@ -2080,12 +2234,10 @@ mod tests {
                     .collect();
                 let layout = KeyLayout::new(
                     n,
-                    4,
                     members
                         .iter()
-                        .map(Vec::len)
                         .enumerate()
-                        .filter(|&(unit, _)| unit != preemptive),
+                        .map(|(unit, members)| if unit == preemptive { 0 } else { members.len() }),
                 );
                 prop_assert!(layout.words <= 5);
                 let original = state(&unit_of, &ranks, &fill, preemptive, shuffle);
@@ -2093,15 +2245,13 @@ mod tests {
                 prop_assert_eq!(&key, &packed(&layout, &original.clone()));
                 prop_assert_eq!(&unpacked(&layout, &key), &original);
                 let status = status_part(&layout, &key);
+                let source = scratch(&layout, &original);
+                let mut next = source.clone();
 
+                let mut writes = Vec::new();
                 for c in 0..n {
                     for rank in (0..4).filter(|&rank| rank != status_rank(original.statuses[c])) {
-                        let mut changed = original.clone();
-                        changed.statuses[c] = status_from_rank(rank);
-                        let changed_key = packed(&layout, &changed);
-                        prop_assert_ne!(&key, &changed_key);
-                        prop_assert_ne!(&status, &status_part(&layout, &changed_key));
-                        prop_assert_eq!(&unpacked(&layout, &changed_key), &changed);
+                        writes.push(Write::Status(c, status_from_rank(rank)));
                     }
                 }
                 for (unit, unit_members) in members.iter().enumerate() {
@@ -2109,43 +2259,43 @@ mod tests {
                         continue;
                     }
                     let queue = &original.queues[unit];
-                    let absent: Vec<usize> = unit_members
-                        .iter()
-                        .copied()
-                        .filter(|c| !queue.contains(c))
-                        .collect();
-                    let mut changes = Vec::new();
-                    // Another member in an occupied slot, or in the first free one.
-                    for slot in 0..=queue.len() {
-                        for &other in &absent {
-                            let mut changed = original.clone();
-                            if slot < queue.len() {
-                                changed.queues[unit][slot] = other;
-                            } else {
-                                changed.queues[unit].push(other);
-                            }
-                            changes.push(changed);
+                    for &other in unit_members.iter().filter(|c| !queue.contains(c)) {
+                        // Another member in an occupied slot, or put in front
+                        // of the queue or behind it.
+                        for pos in 0..queue.len() {
+                            writes.push(Write::Replace(unit, pos, other));
                         }
+                        writes.push(Write::Insert(unit, 0, other));
+                        writes.push(Write::Insert(unit, queue.len(), other));
                     }
-                    // The last occupied slot emptied.
+                    // The first or the last member taken out.
                     if !queue.is_empty() {
-                        let mut changed = original.clone();
-                        changed.queues[unit].pop();
-                        changes.push(changed);
+                        writes.push(Write::Remove(unit, 0));
+                        writes.push(Write::Remove(unit, queue.len() - 1));
                     }
-                    for changed in changes {
-                        let changed_key = packed(&layout, &changed);
-                        prop_assert_ne!(&key, &changed_key);
-                        prop_assert_eq!(&status, &status_part(&layout, &changed_key));
-                        prop_assert_eq!(&unpacked(&layout, &changed_key), &changed);
-                    }
+                }
+                for write in writes {
+                    let mut changed = original.clone();
+                    apply(&mut changed, write);
+                    let changed_key = packed(&layout, &changed);
+                    prop_assert_ne!(&key, &changed_key);
+                    let status_changed = matches!(write, Write::Status(..));
+                    prop_assert_eq!(status != status_part(&layout, &changed_key), status_changed);
+                    prop_assert_eq!(&unpacked(&layout, &changed_key), &changed);
+
+                    log(&mut next, write);
+                    let mut rewritten = key.clone();
+                    layout.rewrite(&mut rewritten, &next, &source);
+                    prop_assert_eq!(&rewritten, &changed_key, "{:?}", write);
+                    next.revert_to(&source);
+                    prop_assert_eq!(&next.clone().into_global(), &original);
                 }
             }
         }
 
         #[test]
         fn forty_components_in_queued_units_take_five_words() {
-            let layout = KeyLayout::new(40, 4, [(0, 10), (1, 10), (2, 10), (3, 10)]);
+            let layout = KeyLayout::new(40, [10, 10, 10, 10]);
             assert_eq!(layout.slot_bits, 6);
             assert_eq!(layout.words, 5);
             assert_eq!(layout.status_words(), 2);

@@ -1564,25 +1564,32 @@ fn per_line_masks(
     for line in members {
         let degraded = line.model.degraded_fault_tree();
         let service_tree = line.model.service_tree();
+        // The group component of every leaf of the line's structure.
+        let leaf_component: Vec<Option<usize>> = line
+            .model
+            .structure()
+            .leaves()
+            .map(|name| position.get(qualified(&line.name, name).as_str()).copied())
+            .collect();
         let num_states = compiled.chain().num_states();
         let mut operational = Vec::with_capacity(num_states);
         let mut service = Vec::with_capacity(num_states);
         for index in 0..num_states {
             let state = compiled.state(index);
-            let provides = |name: &str| -> f64 {
-                match position.get(qualified(&line.name, name).as_str()) {
-                    Some(&i) if state.statuses[i].provides_service() => 1.0,
-                    _ => 0.0,
-                }
+            let provides = |leaf: usize| {
+                leaf_component[leaf].is_some_and(|i| state.statuses[i].provides_service())
             };
-            let failed = |name: &str| -> bool {
-                match position.get(qualified(&line.name, name).as_str()) {
-                    Some(&i) => !state.statuses[i].provides_service(),
-                    None => false,
-                }
+            let failed = |leaf: usize| {
+                leaf_component[leaf].is_some_and(|i| !state.statuses[i].provides_service())
             };
-            operational.push(!degraded.is_failed(failed));
-            service.push(service_tree.service_level(provides));
+            operational.push(!degraded.is_failed_by_leaf(failed));
+            service.push(service_tree.service_level_by_leaf(|leaf| {
+                if provides(leaf) {
+                    1.0
+                } else {
+                    0.0
+                }
+            }));
         }
         out.push((operational, service));
     }

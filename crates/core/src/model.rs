@@ -253,7 +253,7 @@ impl ArcadeModelBuilder {
         // Unique component names.
         let mut names = BTreeSet::new();
         for c in &self.components {
-            if !names.insert(c.name().to_string()) {
+            if !names.insert(c.name()) {
                 return Err(ArcadeError::DuplicateComponent {
                     name: c.name().to_string(),
                 });
@@ -314,14 +314,18 @@ impl ArcadeModelBuilder {
             }
         }
 
-        // The structure references known components.
-        for c in self.structure.degraded_fault_tree().basic_events() {
-            if !names.contains(c.as_str()) {
-                return Err(ArcadeError::UnknownComponent {
-                    name: c,
-                    referenced_by: "system structure".to_string(),
-                });
-            }
+        // The structure references known components; the first unknown
+        // name in sorted order is reported.
+        if let Some(unknown) = self
+            .structure
+            .leaves()
+            .filter(|leaf| !names.contains(leaf))
+            .min()
+        {
+            return Err(ArcadeError::UnknownComponent {
+                name: unknown.to_string(),
+                referenced_by: "system structure".to_string(),
+            });
         }
 
         // Symmetry guards reference known components.
@@ -461,6 +465,23 @@ mod tests {
             .component(component("a"))
             .build();
         assert!(matches!(result, Err(ArcadeError::UnknownComponent { .. })));
+
+        // Of several unknown leaves, the first in sorted order is named.
+        let structure = SystemStructure::new(StructureNode::series(vec![
+            StructureNode::component("zeta"),
+            StructureNode::component("a"),
+            StructureNode::redundant(vec![
+                StructureNode::component("gamma"),
+                StructureNode::component("beta"),
+            ]),
+        ]));
+        let result = ArcadeModel::builder("m", structure)
+            .component(component("a"))
+            .build();
+        assert!(
+            matches!(&result, Err(ArcadeError::UnknownComponent { name, .. }) if name == "beta"),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl ComponentStatus {
 }
 
 /// A global state of the composed model.
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GlobalState {
     /// Status of every component, indexed by [`ComponentIndex`].
     pub statuses: Vec<ComponentStatus>,
@@ -50,22 +50,6 @@ pub struct GlobalState {
     /// [`QueueDiscipline`](crate::QueueDiscipline) keeps (always empty for a
     /// preemptive unit).
     pub queues: Vec<Vec<ComponentIndex>>,
-}
-
-impl Clone for GlobalState {
-    fn clone(&self) -> Self {
-        GlobalState {
-            statuses: self.statuses.clone(),
-            queues: self.queues.clone(),
-        }
-    }
-
-    /// Copies `source` into this state's existing buffers, so a state reused
-    /// as scratch space stops allocating once its queues have grown.
-    fn clone_from(&mut self, source: &Self) {
-        self.statuses.clone_from(&source.statuses);
-        self.queues.clone_from(&source.queues);
-    }
 }
 
 impl GlobalState {
@@ -80,15 +64,6 @@ impl GlobalState {
     /// Number of failed components (waiting or under repair).
     pub fn num_failed(&self) -> usize {
         self.statuses.iter().filter(|s| s.is_failed()).count()
-    }
-
-    /// Number of components currently under repair in the given repair unit's
-    /// responsibility set.
-    pub fn num_under_repair(&self, components_of_unit: &[ComponentIndex]) -> usize {
-        components_of_unit
-            .iter()
-            .filter(|&&c| self.statuses[c] == ComponentStatus::UnderRepair)
-            .count()
     }
 
     /// Whether the given component is failed in this state.
@@ -124,8 +99,6 @@ mod tests {
             2,
         );
         assert_eq!(state.num_failed(), 2);
-        assert_eq!(state.num_under_repair(&[0, 1, 2, 3]), 1);
-        assert_eq!(state.num_under_repair(&[0, 3]), 0);
         assert!(state.is_failed(1));
         assert!(!state.is_failed(0));
         assert_eq!(state.queues.len(), 2);

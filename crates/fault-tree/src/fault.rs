@@ -65,18 +65,27 @@ impl FaultNode {
     where
         F: Fn(&str) -> bool,
     {
-        match self {
-            FaultNode::Basic(name) => failed(name),
-            FaultNode::And(children) => children.iter().all(|c| c.evaluate(failed)),
-            FaultNode::Or(children) => children.iter().any(|c| c.evaluate(failed)),
+        self.fires(&mut |name| failed(name))
+    }
+
+    /// Whether this node fires, asking `leaf` whether each basic event fires
+    /// exactly once, depth first and left to right (no gate stops early):
+    /// the one evaluation behind [`FaultNode::evaluate`] and
+    /// [`FaultTree::is_failed_by_leaf`].
+    fn fires<F>(&self, leaf: &mut F) -> bool
+    where
+        F: FnMut(&str) -> bool,
+    {
+        let (children, threshold) = match self {
+            FaultNode::Basic(name) => return leaf(name),
+            FaultNode::And(children) => (children, children.len()),
+            FaultNode::Or(children) => (children, 1),
             FaultNode::Vote {
                 failed_threshold,
                 children,
-            } => {
-                let fired = children.iter().filter(|c| c.evaluate(failed)).count();
-                fired >= *failed_threshold
-            }
-        }
+            } => (children, *failed_threshold),
+        };
+        children.iter().filter(|c| c.fires(leaf)).count() >= threshold
     }
 
     /// Collects the names of all basic events below this node.
@@ -160,6 +169,25 @@ impl FaultTree {
         F: Fn(&str) -> bool,
     {
         self.root.evaluate(&failed)
+    }
+
+    /// [`FaultTree::is_failed`] with each basic event given by its position:
+    /// `leaf_failed(i)` tells whether the tree's `i`-th [`FaultNode::Basic`]
+    /// leaf, counted depth first and left to right, has failed. For a tree
+    /// derived from a [`SystemStructure`](crate::SystemStructure) that is the
+    /// `i`-th name of
+    /// [`SystemStructure::leaves`](crate::SystemStructure::leaves), so a
+    /// caller resolves every leaf once instead of looking names up on every
+    /// evaluation.
+    pub fn is_failed_by_leaf<F>(&self, leaf_failed: F) -> bool
+    where
+        F: Fn(usize) -> bool,
+    {
+        let mut next = 0;
+        self.root.fires(&mut |_| {
+            next += 1;
+            leaf_failed(next - 1)
+        })
     }
 
     /// The set of all basic-event (component) names referenced by the tree.

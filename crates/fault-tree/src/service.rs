@@ -44,27 +44,33 @@ impl ServiceNode {
     where
         F: Fn(&str) -> f64,
     {
+        self.level(&mut |name| component_service(name))
+    }
+
+    /// The service level of this node, asking `leaf` for the service of
+    /// every [`ServiceNode::Basic`] leaf exactly once, depth first and left
+    /// to right: the one evaluation behind [`ServiceNode::evaluate`] and
+    /// [`ServiceTree::service_level_by_leaf`].
+    fn level<F>(&self, leaf: &mut F) -> f64
+    where
+        F: FnMut(&str) -> f64,
+    {
         match self {
-            ServiceNode::Basic(name) => component_service(name).clamp(0.0, 1.0),
-            ServiceNode::Min(children) => children
-                .iter()
-                .map(|c| c.evaluate(component_service))
-                .fold(1.0, f64::min),
+            ServiceNode::Basic(name) => leaf(name).clamp(0.0, 1.0),
+            ServiceNode::Min(children) => {
+                children.iter().map(|c| c.level(leaf)).fold(1.0, f64::min)
+            }
             ServiceNode::Mean(children) => {
                 if children.is_empty() {
                     return 1.0;
                 }
-                children
-                    .iter()
-                    .map(|c| c.evaluate(component_service))
-                    .sum::<f64>()
-                    / children.len() as f64
+                children.iter().map(|c| c.level(leaf)).sum::<f64>() / children.len() as f64
             }
             ServiceNode::Ratio { required, children } => {
+                let total: f64 = children.iter().map(|c| c.level(leaf)).sum();
                 if *required == 0 {
                     return 1.0;
                 }
-                let total: f64 = children.iter().map(|c| c.evaluate(component_service)).sum();
                 (total.min(*required as f64)) / *required as f64
             }
         }
@@ -199,6 +205,25 @@ impl ServiceTree {
         F: Fn(&str) -> f64,
     {
         self.root.evaluate(&component_service)
+    }
+
+    /// [`ServiceTree::service_level`] with each leaf's service given by its
+    /// position: `leaf_service(i)` is the service of the tree's `i`-th
+    /// [`ServiceNode::Basic`] leaf, counted depth first and left to right.
+    /// For a tree derived from a [`SystemStructure`](crate::SystemStructure)
+    /// that is the `i`-th name of
+    /// [`SystemStructure::leaves`](crate::SystemStructure::leaves), so a
+    /// caller resolves every leaf once instead of looking names up on every
+    /// evaluation. The result equals the name-keyed one bit for bit.
+    pub fn service_level_by_leaf<F>(&self, leaf_service: F) -> f64
+    where
+        F: Fn(usize) -> f64,
+    {
+        let mut next = 0;
+        self.root.level(&mut |_| {
+            next += 1;
+            leaf_service(next - 1)
+        })
     }
 
     /// All component names referenced by the tree.

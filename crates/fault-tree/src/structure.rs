@@ -71,6 +71,23 @@ impl StructureNode {
         StructureNode::RequiredOf { required, children }
     }
 
+    /// The names of the component leaves below this node, depth first and
+    /// left to right; a component placed twice appears twice. Every tree
+    /// derived from the node lists its leaves in this order.
+    pub fn leaves(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut pending = vec![self];
+        std::iter::from_fn(move || loop {
+            match pending.pop()? {
+                StructureNode::Component(name) => return Some(name.as_str()),
+                StructureNode::Series(children)
+                | StructureNode::Redundant(children)
+                | StructureNode::RequiredOf { children, .. } => {
+                    pending.extend(children.iter().rev())
+                }
+            }
+        })
+    }
+
     /// Fault tree for "the system is not fully operational".
     ///
     /// Any failure inside a series or redundant group degrades the system; in a
@@ -163,6 +180,14 @@ impl SystemStructure {
     /// The root node.
     pub fn root(&self) -> &StructureNode {
         &self.root
+    }
+
+    /// The component names of the structure's leaves, in the leaf order of
+    /// [`StructureNode::leaves`]: leaf `i` of every derived tree names the
+    /// `i`-th of them, which [`ServiceTree::service_level_by_leaf`] and
+    /// [`FaultTree::is_failed_by_leaf`] rely on.
+    pub fn leaves(&self) -> impl Iterator<Item = &str> + '_ {
+        self.root.leaves()
     }
 
     /// Fault tree for "not fully operational" (used by availability and

@@ -6,11 +6,10 @@
 //! composer therefore refines by everything its measures observe before
 //! handing the partition to [`crate::lump`].
 
-use std::collections::HashMap;
-
 use ctmc::Ctmc;
 
 use crate::error::LumpError;
+use crate::keys::KeyTable;
 
 /// A partition of the state space used as the starting point of refinement.
 ///
@@ -86,16 +85,25 @@ impl InitialPartition {
     ///
     /// Values are compared exactly (bitwise, with `-0.0` normalised to `0.0`);
     /// callers that want tolerance-based grouping should quantise first.
+    /// The new ids are handed out in order of first appearance.
     ///
     /// # Errors
     ///
     /// Returns [`LumpError::DimensionMismatch`] if `values` has the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// If the refinement has 2³² or more classes.
     pub fn refine_by_f64(&mut self, values: &[f64]) -> Result<&mut Self, LumpError> {
         self.check_len(values.len())?;
-        let mut ids: HashMap<(usize, u64), usize> = HashMap::new();
+        // Key `i` of the table is the `(class, value bits)` pair of new id `i`.
+        let mut ids = KeyTable::new(2);
         for (class, &value) in self.classes.iter_mut().zip(values) {
-            let next = ids.len();
-            *class = *ids.entry((*class, (value + 0.0).to_bits())).or_insert(next);
+            let key = [*class as u64, (value + 0.0).to_bits()];
+            *class = match ids.find(&key) {
+                Ok(id) => id,
+                Err(vacant) => ids.insert(vacant, &key).expect("fewer than 2^32 classes"),
+            };
         }
         self.num_classes = ids.len();
         Ok(self)
@@ -142,6 +150,8 @@ mod tests {
         assert_ne!(classes[0], classes[1]); // (true, 2.0)
         assert_eq!(classes[2], classes[3]); // (false, 1.0)
         assert!(classes.iter().all(|&c| c < partition.num_classes()));
+        // Ids follow the order in which the classes first appear.
+        assert_eq!(classes, &[0, 1, 2, 2, 0, 3]);
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub struct Trajectory<'a> {
     model: &'a ArcadeModel,
     service_tree: ServiceTree,
     degraded_tree: FaultTree,
+    /// The component of every structure leaf, in leaf order.
+    leaf_component: Vec<usize>,
     component_names: Vec<String>,
     failure_rates: Vec<f64>,
     repair_rates: Vec<f64>,
@@ -78,6 +80,12 @@ impl<'a> Trajectory<'a> {
                 })
         };
 
+        let leaf_component = model
+            .structure()
+            .leaves()
+            .map(index_of)
+            .collect::<Result<Vec<_>, _>>()?;
+
         let mut component_ru = vec![None; n];
         let mut ru_components = Vec::new();
         let mut ru_crews = Vec::new();
@@ -131,6 +139,7 @@ impl<'a> Trajectory<'a> {
                 .iter()
                 .map(|c| c.dormancy_factor())
                 .collect(),
+            leaf_component,
             component_names,
             component_ru,
             ru_components,
@@ -209,25 +218,20 @@ impl<'a> Trajectory<'a> {
 
     /// Current quantitative service level.
     pub fn service_level(&self) -> f64 {
-        let statuses = &self.statuses;
-        let names = &self.component_names;
-        self.service_tree
-            .service_level(|name| match names.iter().position(|n| n == name) {
-                Some(idx) if statuses[idx].provides_service() => 1.0,
-                _ => 0.0,
-            })
+        self.service_tree.service_level_by_leaf(|leaf| {
+            if self.statuses[self.leaf_component[leaf]].provides_service() {
+                1.0
+            } else {
+                0.0
+            }
+        })
     }
 
     /// Whether the system is currently fully operational.
     pub fn is_fully_operational(&self) -> bool {
-        let statuses = &self.statuses;
-        let names = &self.component_names;
         !self
             .degraded_tree
-            .is_failed(|name| match names.iter().position(|n| n == name) {
-                Some(idx) => !statuses[idx].provides_service(),
-                None => false,
-            })
+            .is_failed_by_leaf(|leaf| !self.statuses[self.leaf_component[leaf]].provides_service())
     }
 
     /// Current cost rate (failed components plus idle/busy crews).
