@@ -4,8 +4,8 @@
 //!
 //! * **construct** — compile both lines compositionally, lump them, build
 //!   the `QuotientProduct` and materialise the joint FRF-1 × FRF-1 chain
-//!   (449 × 257 = 115,393 blocks, ≈ 1.2M transitions) through the sharded
-//!   row enumeration;
+//!   (449 × 257 = 115,393 blocks, ≈ 1.2M transitions), written row by row
+//!   in index order;
 //! * **availability** — the `table_facility` validation solve: per-line
 //!   availabilities, the product form, and the genuine joint-chain
 //!   stationary solve (warm started, residual-certified).

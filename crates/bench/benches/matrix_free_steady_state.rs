@@ -2,7 +2,7 @@
 //! facility product (449 × 257 = 115,393 joint blocks).
 //!
 //! The acceptance race of the operator tier: **materialise+solve** builds the
-//! joint `SparseMatrix` through the sharded row enumeration and Gauss–Seidels
+//! joint `SparseMatrix` with the row writer and Gauss–Seidels
 //! it, while **operator-solve** hands the Kronecker-sum operator straight to
 //! the Krylov solver — no `materialize()` call anywhere on that path, so its
 //! peak allocation is a handful of product-length vectors instead of the

@@ -5,8 +5,8 @@
 //!
 //! * **orbit materialise** — the twin Line 2 facility under FRF-1: two
 //!   identical 257-block line chains fold from 66,049 joint tuples to
-//!   33,153 sorted-pair orbit representatives, materialised through the
-//!   sharded representative-row enumeration;
+//!   33,153 sorted-pair orbit representatives, materialised row by row from
+//!   the representatives;
 //! * **orbit availability** — the full twin availability validation: the
 //!   orbit chain's stationary solve (warm started from the aggregated
 //!   product form) plus the matrix-free Kronecker residual of its uniform

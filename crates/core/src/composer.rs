@@ -1014,7 +1014,9 @@ impl<'a> Composer<'a> {
         // distinct status vector (the status bits of the key), on a state
         // decoded only then, and copied to every state that shares it. The
         // trees are evaluated by leaf, each leaf resolved to its component
-        // once here.
+        // once here. They read only which leaves provide service, a set
+        // that many status vectors share, so their results are also kept
+        // per set (one bit per leaf).
         let service_tree = self.model.service_tree();
         let degraded_tree = self.model.degraded_fault_tree();
         let leaf_component: Vec<ComponentIndex> = self
@@ -1030,6 +1032,9 @@ impl<'a> Composer<'a> {
         let mut status_key = vec![0; layout.status_words()];
         let mut status_keys = KeyTable::new(status_key.len());
         let mut status_metadata: Vec<(f64, bool, f64)> = Vec::new();
+        let mut providers = vec![0u64; leaf_component.len().div_ceil(64).max(1)];
+        let mut provider_sets = KeyTable::new(providers.len());
+        let mut tree_results: Vec<(f64, bool)> = Vec::new();
         let num_states = keys.len();
         let mut service_levels = Vec::with_capacity(num_states);
         let mut operational = Vec::with_capacity(num_states);
@@ -1045,12 +1050,25 @@ impl<'a> Composer<'a> {
                     layout.unpack(keys.key(index), &mut source);
                     let provides =
                         |leaf: usize| source.statuses[leaf_component[leaf]].provides_service();
-                    let metadata = (
-                        service_tree
-                            .service_level_by_leaf(|leaf| if provides(leaf) { 1.0 } else { 0.0 }),
-                        !degraded_tree.is_failed_by_leaf(|leaf| !provides(leaf)),
-                        self.state_cost(&source),
-                    );
+                    providers.fill(0);
+                    for leaf in (0..leaf_component.len()).filter(|&leaf| provides(leaf)) {
+                        providers[leaf / 64] |= 1 << (leaf % 64);
+                    }
+                    let (level, up) = match provider_sets.find(&providers) {
+                        Ok(seen) => tree_results[seen],
+                        Err(vacant) => {
+                            provider_sets
+                                .insert(vacant, &providers)
+                                .expect("there are no more provider sets than states");
+                            let level = |leaf: usize| if provides(leaf) { 1.0 } else { 0.0 };
+                            tree_results.push((
+                                service_tree.service_level_by_leaf(level),
+                                !degraded_tree.is_failed_by_leaf(|leaf| !provides(leaf)),
+                            ));
+                            tree_results[tree_results.len() - 1]
+                        }
+                    };
+                    let metadata = (level, up, self.state_cost(&source));
                     status_metadata.push(metadata);
                     metadata
                 }

@@ -62,6 +62,7 @@ use std::ops::Add;
 use arcade_lumping::{lump, InitialPartition, ProductOrbit, QuotientProduct};
 use arcade_symmetry::chain::group_identical_chains;
 use arcade_symmetry::orbit::{for_each_multiset, FactorClasses};
+use arcade_telemetry::Recorder;
 use ctmc::{
     Ctmc, ExecOptions, RewardStructure, SteadyStateSolver, TransientOptions, TransientSolver,
 };
@@ -974,6 +975,7 @@ impl<'a> FacilityAnalysis<'a> {
     }
 
     fn build_joint_cache(&self) -> Result<JointCache, ArcadeError> {
+        let mut span = Recorder::current().span("joint-product");
         let exec = self.exec();
         let product = self.quotient_product()?;
 
@@ -1044,6 +1046,12 @@ impl<'a> FacilityAnalysis<'a> {
         for disaster in self.model.disasters() {
             disaster_starts.insert(disaster.name().to_string(), start_of(Some(disaster))?);
         }
+        span.count("states", product.num_states() as u64);
+        span.count("transitions", chain.num_transitions() as u64);
+        span.count(
+            "orbits",
+            orbit.as_ref().map_or(0, ProductOrbit::num_orbits) as u64,
+        );
         let quotient = CompiledQuotient::from_parts(QuotientParts {
             name: self.model.name().to_string(),
             chain,
@@ -1183,16 +1191,19 @@ impl<'a> FacilityAnalysis<'a> {
     /// Propagates product-construction and solver errors.
     pub fn matrix_free_steady_state_availability(&self) -> Result<JointAvailability, ArcadeError> {
         let exec = self.exec();
+        let stationaries = self.group_stationaries()?;
+        let mut span = Recorder::current().span("joint-operator");
         let product = self.quotient_product()?;
-        let guess = product.product_distribution(self.group_stationaries()?)?;
+        span.count("states", product.num_states() as u64);
+        let guess = product.product_distribution(stationaries)?;
         let any_up = self.joint_any_line_operational(&product)?;
         let operator = product.operator();
-        let (joint_pi, iterations, tier) =
-            SteadyStateSolver::from_operator(&operator, product.exit_rates())?
-                .exec(exec)
-                .initial_guess(guess)
-                .solve_reported()?;
-        let residual = product.balance_residual(&joint_pi, &exec)?;
+        let solver = SteadyStateSolver::from_operator(&operator, product.exit_rates())?
+            .exec(exec)
+            .initial_guess(guess);
+        drop(span);
+        let (joint_pi, iterations, tier) = solver.solve_reported()?;
+        let residual = solver.balance_residual(&joint_pi)?;
         let availability = joint_pi
             .iter()
             .zip(any_up.iter())
@@ -1671,6 +1682,35 @@ mod tests {
         assert!((joint.availability - product_form).abs() <= 1e-9);
         assert!(joint.residual < 1e-9, "residual {}", joint.residual);
         assert_eq!(joint.solver_tier, "gs-materialised");
+    }
+
+    #[test]
+    fn joint_product_is_built_once_and_traced() {
+        let twins = FacilityModel::builder("twins")
+            .line("line1", pump_line("ru1", 100.0, 1.0))
+            .line("line2", pump_line("ru2", 100.0, 1.0))
+            .build()
+            .unwrap();
+        for (facility, orbits) in [(independent_facility(), 0), (twins, 3)] {
+            let analysis = FacilityAnalysis::new(&facility).unwrap();
+            let recorder = Recorder::enabled();
+            let _scope = recorder.enter();
+            let first = analysis.compiled_quotient().unwrap();
+            let second = analysis.compiled_quotient().unwrap();
+            assert!(first.identical(&second));
+            // The second call is served from the cache.
+            assert_eq!(recorder.span_count("joint-product"), 1);
+            assert_eq!(recorder.counter_total("joint-product", "states"), 4);
+            assert_eq!(
+                recorder.counter_total("joint-product", "transitions"),
+                first.chain().num_transitions() as u64
+            );
+            assert_eq!(recorder.counter_total("joint-product", "orbits"), orbits);
+
+            analysis.matrix_free_steady_state_availability().unwrap();
+            assert_eq!(recorder.span_count("joint-operator"), 1);
+            assert_eq!(recorder.counter_total("joint-operator", "states"), 4);
+        }
     }
 
     #[test]

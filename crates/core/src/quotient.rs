@@ -100,7 +100,7 @@ impl CompiledQuotient {
     pub fn from_parts(parts: QuotientParts) -> Result<Self, ArcadeError> {
         let QuotientParts {
             name,
-            chain,
+            mut chain,
             operational,
             service,
             cost,
@@ -125,11 +125,9 @@ impl CompiledQuotient {
                 reason: format!("quotient start states must lie in 0..{n}"),
             });
         }
-        let mut span = Recorder::current().span("materialise");
-        span.count("states", n as u64);
-        span.count("source_states", source_states as u64);
-        span.count("disasters", disaster_starts.len() as u64);
-        let chain = chain.with_initial_state(initial)?;
+        let mut start = vec![0.0; n];
+        start[initial] = 1.0;
+        chain.set_initial_distribution(start)?;
         Ok(CompiledQuotient {
             name,
             chain,

@@ -202,6 +202,21 @@ impl Ctmc {
         Ok(())
     }
 
+    /// Replaces the initial distribution in place, taking the vector by
+    /// value, so a chain that is being assembled or owned gets its start
+    /// without a copy of its matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidInitialDistribution`] if the distribution has
+    /// negative entries or does not sum to one (within `1e-9`), or a dimension
+    /// mismatch error if the length is wrong.
+    pub fn set_initial_distribution(&mut self, initial: Vec<f64>) -> Result<(), CtmcError> {
+        validate_distribution(&initial, self.num_states())?;
+        self.initial = initial;
+        Ok(())
+    }
+
     /// Returns a copy of this chain with a different initial distribution.
     ///
     /// This is the "given occurrence of disaster" (GOOD) construction used by the
@@ -209,13 +224,10 @@ impl Ctmc {
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::InvalidInitialDistribution`] if the distribution has
-    /// negative entries or does not sum to one (within `1e-9`), or a dimension
-    /// mismatch error if the length is wrong.
+    /// See [`Ctmc::set_initial_distribution`].
     pub fn with_initial_distribution(&self, initial: Vec<f64>) -> Result<Ctmc, CtmcError> {
-        validate_distribution(&initial, self.num_states())?;
         let mut out = self.clone();
-        out.initial = initial;
+        out.set_initial_distribution(initial)?;
         Ok(out)
     }
 

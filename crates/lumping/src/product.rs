@@ -8,15 +8,16 @@
 //! This module makes that product a first-class object:
 //!
 //! * joint states are **tuples of block ids** (mixed-radix encoded, factor 0
-//!   most significant);
+//!   most significant), carried from one index to the next as an odometer,
+//!   so no pass over the joint states divides per state;
 //! * the joint generator is the **Kronecker sum** `Q = ⊕ᵢ Qᵢ`: exactly one
 //!   factor moves per transition, at its local rate;
 //! * the joint initial distribution, labels and reward vectors are
 //!   **cylinder extensions** of the per-factor data (products of masks,
 //!   sums of additive rewards);
-//! * the chain is available **materialised** ([`QuotientProduct::materialize`],
-//!   joint rows enumerated across the shared worker pool in index order, so
-//!   states, transitions and rates are bit-identical for every thread count)
+//! * the chain is available **materialised** ([`QuotientProduct::materialize`]
+//!   writes the joint rows in index order straight into compressed sparse
+//!   rows: each row comes out sorted, so nothing is sorted, merged or copied)
 //!   or **matrix-free** ([`QuotientProduct::operator`], a [`KroneckerSum`]
 //!   implementing [`LinearOperator`] so the exec SpMV kernels can run without
 //!   ever storing the joint matrix).
@@ -25,13 +26,14 @@
 //! automata networks, structured lumping) specialised to factors that are
 //! themselves quotients produced by this crate.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use arcade_symmetry::chain::group_identical_chains;
 use arcade_symmetry::orbit::FactorClasses;
 use ctmc::exec::{self, ExecOptions};
 use ctmc::ops::LinearOperator;
-use ctmc::{Ctmc, CtmcBuilder, CtmcError, RewardStructure, SparseMatrix, SteadyStateSolver};
+use ctmc::{Ctmc, CtmcError, RewardStructure, SparseMatrix, SteadyStateSolver};
 
 use crate::error::LumpError;
 use crate::quotient::LumpedCtmc;
@@ -49,9 +51,18 @@ pub struct QuotientProduct {
     /// Transposed factor rate matrices (incoming transitions), precomputed
     /// for the matrix-free left-multiply kernel.
     transposed: Vec<SparseMatrix>,
+    /// `sizes[i]` = number of states of factor `i` (the radix of digit `i`).
+    sizes: Vec<usize>,
     /// `strides[i]` = product of the factor sizes right of `i`.
     strides: Vec<usize>,
     num_states: usize,
+}
+
+/// Whether `count` values of `T` fit in one allocation.
+fn allocatable<T>(count: usize) -> bool {
+    count
+        .checked_mul(std::mem::size_of::<T>())
+        .is_some_and(|bytes| bytes <= isize::MAX as usize)
 }
 
 impl QuotientProduct {
@@ -106,17 +117,16 @@ impl QuotientProduct {
             names.push(name);
             chains.push(chain);
         }
-        let mut num_states: usize = 1;
-        for chain in &chains {
-            num_states = num_states.checked_mul(chain.num_states()).ok_or_else(|| {
-                LumpError::InvalidProduct {
-                    reason: "joint state count overflows usize".to_string(),
-                }
+        let sizes: Vec<usize> = chains.iter().map(Ctmc::num_states).collect();
+        let num_states = sizes
+            .iter()
+            .try_fold(1usize, |total, &size| total.checked_mul(size))
+            .ok_or_else(|| LumpError::InvalidProduct {
+                reason: "joint state count overflows usize".to_string(),
             })?;
-        }
         let mut strides = vec![1usize; chains.len()];
         for i in (0..chains.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * chains[i + 1].num_states();
+            strides[i] = strides[i + 1] * sizes[i + 1];
         }
         let transposed = chains
             .iter()
@@ -126,6 +136,7 @@ impl QuotientProduct {
             names,
             factors: chains,
             transposed,
+            sizes,
             strides,
             num_states,
         })
@@ -153,16 +164,53 @@ impl QuotientProduct {
 
     /// Number of joint transitions of the Kronecker sum:
     /// `Σᵢ Tᵢ · Πⱼ≠ᵢ nⱼ` (each factor transition occurs once per context of
-    /// the other factors).
+    /// the other factors), saturating at `usize::MAX`.
     pub fn num_transitions(&self) -> usize {
-        self.factors
-            .iter()
-            .map(|chain| {
-                chain
-                    .num_transitions()
-                    .saturating_mul(self.num_states / chain.num_states())
-            })
-            .fold(0usize, usize::saturating_add)
+        self.checked_transitions().unwrap_or(usize::MAX)
+    }
+
+    /// [`QuotientProduct::num_transitions`], or `None` when it overflows.
+    fn checked_transitions(&self) -> Option<usize> {
+        self.factors.iter().try_fold(0usize, |total, chain| {
+            chain
+                .num_transitions()
+                .checked_mul(self.num_states / chain.num_states())?
+                .checked_add(total)
+        })
+    }
+
+    /// Calls `visit(state, tuple)` for every joint state of `range`, in
+    /// index order, with `tuple` its block tuple. The tuple is carried from
+    /// one index to the next as an odometer (the last digit counts up and
+    /// carries into the ones before it), so the walk divides only at its
+    /// start.
+    fn for_each_tuple(&self, range: Range<usize>, mut visit: impl FnMut(usize, &[usize])) {
+        let mut tuple = self.tuple_of(range.start);
+        for state in range {
+            visit(state, &tuple);
+            for (digit, &size) in tuple.iter_mut().zip(&self.sizes).rev() {
+                *digit += 1;
+                if *digit < size {
+                    break;
+                }
+                *digit = 0;
+            }
+        }
+    }
+
+    /// Calls `visit(digit, range)` for the runs of consecutive joint indices
+    /// that share factor `factor`'s digit, in index order: the odometer of
+    /// [`QuotientProduct::for_each_tuple`] read at one digit, which changes
+    /// every `strides[factor]` states.
+    fn for_each_run(&self, factor: usize, mut visit: impl FnMut(usize, Range<usize>)) {
+        let stride = self.strides[factor];
+        let mut start = 0;
+        while start < self.num_states {
+            for digit in 0..self.sizes[factor] {
+                visit(digit, start..start + stride);
+                start += stride;
+            }
+        }
     }
 
     /// The joint index of a block tuple; `None` if the tuple has the wrong
@@ -172,12 +220,8 @@ impl QuotientProduct {
             return None;
         }
         let mut index = 0usize;
-        for ((&block, chain), &stride) in tuple
-            .iter()
-            .zip(self.factors.iter())
-            .zip(self.strides.iter())
-        {
-            if block >= chain.num_states() {
+        for ((&block, &size), &stride) in tuple.iter().zip(&self.sizes).zip(&self.strides) {
+            if block >= size {
                 return None;
             }
             index += block * stride;
@@ -194,9 +238,26 @@ impl QuotientProduct {
         assert!(index < self.num_states, "joint index out of range");
         self.strides
             .iter()
-            .zip(self.factors.iter())
-            .map(|(&stride, chain)| (index / stride) % chain.num_states())
+            .zip(&self.sizes)
+            .map(|(&stride, &size)| (index / stride) % size)
             .collect()
+    }
+
+    /// Checks a factor index and the length of a per-factor-state vector.
+    fn check_factor(&self, factor: usize, len: usize) -> Result<(), LumpError> {
+        let size = *self
+            .sizes
+            .get(factor)
+            .ok_or_else(|| LumpError::InvalidProduct {
+                reason: format!("unknown factor index {factor}"),
+            })?;
+        if len != size {
+            return Err(LumpError::DimensionMismatch {
+                expected: size,
+                actual: len,
+            });
+        }
+        Ok(())
     }
 
     /// Cylinder extension of a per-factor-state mask to the joint states:
@@ -207,12 +268,7 @@ impl QuotientProduct {
     /// Returns [`LumpError::DimensionMismatch`] on a length mismatch and
     /// [`LumpError::InvalidProduct`] for an unknown factor index.
     pub fn expand_mask(&self, factor: usize, mask: &[bool]) -> Result<Vec<bool>, LumpError> {
-        let values: Vec<f64> = mask.iter().map(|&b| f64::from(u8::from(b))).collect();
-        Ok(self
-            .expand_values(factor, &values)?
-            .into_iter()
-            .map(|v| v != 0.0)
-            .collect())
+        self.expand(factor, mask)
     }
 
     /// Cylinder extension of per-factor-state values to the joint states:
@@ -222,30 +278,23 @@ impl QuotientProduct {
     ///
     /// See [`QuotientProduct::expand_mask`].
     pub fn expand_values(&self, factor: usize, values: &[f64]) -> Result<Vec<f64>, LumpError> {
-        let chain = self
-            .factors
-            .get(factor)
-            .ok_or_else(|| LumpError::InvalidProduct {
-                reason: format!("unknown factor index {factor}"),
-            })?;
-        if values.len() != chain.num_states() {
-            return Err(LumpError::DimensionMismatch {
-                expected: chain.num_states(),
-                actual: values.len(),
-            });
-        }
-        let stride = self.strides[factor];
+        self.expand(factor, values)
+    }
+
+    fn expand<T: Copy>(&self, factor: usize, values: &[T]) -> Result<Vec<T>, LumpError> {
+        self.check_factor(factor, values.len())?;
         let mut out = Vec::with_capacity(self.num_states);
-        for s in 0..self.num_states {
-            out.push(values[(s / stride) % chain.num_states()]);
-        }
+        self.for_each_run(factor, |digit, run| {
+            out.resize(run.end, values[digit]);
+        });
         Ok(out)
     }
 
     /// The outer product of per-factor distributions (or of any per-factor
-    /// vectors): `joint[s] = Πᵢ perᵢ[tupleᵢ(s)]`. With the factor stationary
-    /// distributions as input this is the joint stationary distribution of
-    /// the Kronecker sum — the product form independence buys.
+    /// vectors): `joint[s] = Πᵢ perᵢ[tupleᵢ(s)]`, multiplied from 1.0 in
+    /// factor order. With the factor stationary distributions as input this
+    /// is the joint stationary distribution of the Kronecker sum — the
+    /// product form independence buys.
     ///
     /// # Errors
     ///
@@ -261,27 +310,29 @@ impl QuotientProduct {
                 ),
             });
         }
-        for (vector, chain) in per_factor.iter().zip(self.factors.iter()) {
-            if vector.len() != chain.num_states() {
-                return Err(LumpError::DimensionMismatch {
-                    expected: chain.num_states(),
-                    actual: vector.len(),
-                });
-            }
+        for (factor, vector) in per_factor.iter().enumerate() {
+            self.check_factor(factor, vector.len())?;
         }
-        let mut out = Vec::with_capacity(self.num_states);
-        for s in 0..self.num_states {
-            let mut value = 1.0;
-            for ((vector, chain), &stride) in per_factor
-                .iter()
-                .zip(self.factors.iter())
-                .zip(self.strides.iter())
-            {
-                value *= vector[(s / stride) % chain.num_states()];
-            }
-            out.push(value);
+        Ok(self.fold_factors(1.0, per_factor.iter().map(Vec::as_slice), |p, v| p * v))
+    }
+
+    /// `joint[s] = op(…op(op(init, v₀[t₀(s)]), v₁[t₁(s)])…)` for the
+    /// per-factor vectors `vᵢ`, applied in factor order.
+    fn fold_factors<'v>(
+        &self,
+        init: f64,
+        vectors: impl Iterator<Item = &'v [f64]>,
+        op: impl Fn(f64, f64) -> f64,
+    ) -> Vec<f64> {
+        let mut out = vec![init; self.num_states];
+        for (factor, vector) in vectors.enumerate() {
+            self.for_each_run(factor, |digit, run| {
+                for slot in &mut out[run] {
+                    *slot = op(*slot, vector[digit]);
+                }
+            });
         }
-        Ok(out)
+        out
     }
 
     /// The marginal of a joint distribution on one factor:
@@ -292,8 +343,8 @@ impl QuotientProduct {
     ///
     /// See [`QuotientProduct::expand_mask`].
     pub fn marginal(&self, factor: usize, joint: &[f64]) -> Result<Vec<f64>, LumpError> {
-        let chain = self
-            .factors
+        let size = *self
+            .sizes
             .get(factor)
             .ok_or_else(|| LumpError::InvalidProduct {
                 reason: format!("unknown factor index {factor}"),
@@ -304,11 +355,12 @@ impl QuotientProduct {
                 actual: joint.len(),
             });
         }
-        let stride = self.strides[factor];
-        let mut out = vec![0.0; chain.num_states()];
-        for (s, &p) in joint.iter().enumerate() {
-            out[(s / stride) % chain.num_states()] += p;
-        }
+        let mut out = vec![0.0; size];
+        self.for_each_run(factor, |digit, run| {
+            for &p in &joint[run] {
+                out[digit] += p;
+            }
+        });
         Ok(out)
     }
 
@@ -341,56 +393,38 @@ impl QuotientProduct {
                 ),
             });
         }
+        let mut present = Vec::with_capacity(per_factor.len());
         for (factor, rewards) in per_factor.iter().enumerate() {
             if let Some(rewards) = rewards {
-                let chain = &self.factors[factor];
-                if rewards.state_rewards().len() != chain.num_states() {
-                    return Err(LumpError::DimensionMismatch {
-                        expected: chain.num_states(),
-                        actual: rewards.state_rewards().len(),
-                    });
-                }
+                self.check_factor(factor, rewards.state_rewards().len())?;
+                present.push((factor, rewards.state_rewards()));
             }
         }
         let mut joint = Vec::with_capacity(self.num_states);
-        let mut contributions = Vec::with_capacity(self.factors.len());
-        for s in 0..self.num_states {
+        let mut contributions = Vec::with_capacity(present.len());
+        self.for_each_tuple(0..self.num_states, |_, tuple| {
             contributions.clear();
-            for (factor, rewards) in per_factor.iter().enumerate() {
-                if let Some(rewards) = rewards {
-                    let chain = &self.factors[factor];
-                    let local = (s / self.strides[factor]) % chain.num_states();
-                    contributions.push(rewards.state_rewards()[local]);
-                }
-            }
+            contributions.extend(
+                present
+                    .iter()
+                    .map(|&(factor, rewards)| rewards[tuple[factor]]),
+            );
             contributions.sort_by(f64::total_cmp);
             joint.push(contributions.iter().sum::<f64>());
-        }
+        });
         Ok(RewardStructure::new(name, joint)?)
     }
 
-    /// The joint exit rate of every state: `E(s) = Σᵢ Eᵢ(tupleᵢ(s))`.
+    /// The joint exit rate of every state: `E(s) = Σᵢ Eᵢ(tupleᵢ(s))`, added
+    /// from 0.0 in factor order.
     pub fn exit_rates(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_states];
-        for (factor, chain) in self.factors.iter().enumerate() {
-            let stride = self.strides[factor];
-            let exits = chain.exit_rates();
-            for (s, slot) in out.iter_mut().enumerate() {
-                *slot += exits[(s / stride) % chain.num_states()];
-            }
-        }
-        out
+        self.fold_factors(0.0, self.factors.iter().map(Ctmc::exit_rates), |e, v| e + v)
     }
 
     /// The matrix-free Kronecker-sum operator over this product's factors,
     /// ready for the exec SpMV kernels.
     pub fn operator(&self) -> KroneckerSum<'_> {
-        KroneckerSum {
-            factors: &self.factors,
-            transposed: &self.transposed,
-            strides: &self.strides,
-            num_states: self.num_states,
-        }
+        KroneckerSum { product: self }
     }
 
     /// Maximum absolute balance-equation residual of a candidate stationary
@@ -412,68 +446,104 @@ impl QuotientProduct {
         )
     }
 
-    /// Materialises the joint chain.
-    ///
-    /// Joint rows are enumerated in index order, sharded across the worker
-    /// pool (each worker generates the transitions of a contiguous row range;
-    /// the shards are then appended in range order), so the resulting states,
-    /// transition order and rates are bit-identical for every thread count.
-    /// The initial distribution is the product of the factor initials, and
-    /// every factor label is attached as its cylinder extension under the
-    /// name `{factor}/{label}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain-construction errors.
-    pub fn materialize(&self, exec: &ExecOptions) -> Result<Ctmc, LumpError> {
-        let mut builder = CtmcBuilder::new(self.num_states);
-
-        // Generate each row shard's transition triplets on the worker pool.
-        let workers = exec
-            .workers_for(self.num_transitions())
-            .min(self.num_states.max(1));
-        let shards = exec::shard_ranges(self.num_states, workers);
-        let triplet_shards: Vec<Vec<(usize, usize, f64)>> =
-            exec::map_ordered(&shards, *exec, |range| {
-                let mut triplets = Vec::new();
-                for s in range.clone() {
-                    for (factor, chain) in self.factors.iter().enumerate() {
-                        let stride = self.strides[factor];
-                        let local = (s / stride) % chain.num_states();
-                        let (cols, values) = chain.rate_matrix().row(local);
-                        for (&target, &rate) in cols.iter().zip(values.iter()) {
-                            let neighbor = s + (target * stride) - (local * stride);
-                            triplets.push((s, neighbor, rate));
-                        }
-                    }
-                }
-                triplets
-            });
-        for triplets in triplet_shards {
-            for (from, to, rate) in triplets {
-                builder.add_transition(from, to, rate)?;
-            }
-        }
-
-        let initial = self.product_distribution(
+    /// The joint initial distribution: the product of the factor initials.
+    fn joint_initial(&self) -> Result<Vec<f64>, LumpError> {
+        self.product_distribution(
             &self
                 .factors
                 .iter()
                 .map(|chain| chain.initial_distribution().to_vec())
                 .collect::<Vec<_>>(),
-        )?;
-        builder.set_initial_distribution(initial)?;
+        )
+    }
 
-        for (factor, (name, chain)) in self.names.iter().zip(self.factors.iter()).enumerate() {
-            let labels: Vec<String> = chain.label_names().map(str::to_string).collect();
-            for label in labels {
-                let mask = chain.label(&label).expect("name came from the chain");
-                let joint = self.expand_mask(factor, mask)?;
-                builder.add_label_mask(format!("{name}/{label}"), joint)?;
+    /// Every factor label's cylinder extension under `{factor}/{label}`, in
+    /// factor order and each factor's label order.
+    fn cylinder_labels(&self) -> Result<Vec<(String, Vec<bool>)>, LumpError> {
+        let mut labels = Vec::new();
+        for (factor, (name, chain)) in self.names.iter().zip(&self.factors).enumerate() {
+            for label in chain.label_names() {
+                let mask = chain.label(label).expect("name came from the chain");
+                labels.push((format!("{name}/{label}"), self.expand_mask(factor, mask)?));
             }
         }
+        Ok(labels)
+    }
 
-        Ok(builder.build()?)
+    /// Materialises the joint chain.
+    ///
+    /// The rows are written in joint index order straight into compressed
+    /// sparse rows. Row `s` holds every factor's local row at its digit of
+    /// `s`, and a move of factor `i` shifts `s` by a multiple of `strideᵢ`,
+    /// more than any move of a later factor: listing the targets below each
+    /// digit in factor order, then those above in reverse factor order,
+    /// gives strictly ascending columns, so nothing is sorted or merged.
+    /// [`Ctmc::from_csr`] checks the arrays and takes the row sums as exit
+    /// rates. The initial distribution is the product of the factor
+    /// initials, and every factor label is attached as its cylinder
+    /// extension under the name `{factor}/{label}`. The write is serial, so
+    /// `_exec` changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LumpError::InvalidProduct`] before allocating anything when
+    /// the joint transitions overflow `usize` or the rows cannot be stored,
+    /// and propagates chain-construction errors.
+    pub fn materialize(&self, _exec: &ExecOptions) -> Result<Ctmc, LumpError> {
+        let transitions = self
+            .checked_transitions()
+            .filter(|&t| {
+                allocatable::<usize>(t)
+                    && allocatable::<f64>(t)
+                    && allocatable::<usize>(self.num_states.saturating_add(1))
+            })
+            .ok_or_else(|| LumpError::InvalidProduct {
+                reason: format!(
+                    "the joint chain of {} states and {} transitions is too large to store",
+                    self.num_states,
+                    self.num_transitions()
+                ),
+            })?;
+        let mut row_offsets = Vec::with_capacity(self.num_states + 1);
+        let mut cols = Vec::with_capacity(transitions);
+        let mut rates = Vec::with_capacity(transitions);
+        row_offsets.push(0);
+        // How many targets of each factor's local row `d` lie below `d`.
+        let splits: Vec<Vec<usize>> = self
+            .factors
+            .iter()
+            .map(|chain| {
+                (0..chain.num_states())
+                    .map(|d| chain.rate_matrix().row(d).0.partition_point(|&t| t < d))
+                    .collect()
+            })
+            .collect();
+        let k = self.factors.len();
+        self.for_each_tuple(0..self.num_states, |state, tuple| {
+            // The targets below each digit in factor order, then the
+            // targets above it in reverse factor order.
+            let parts = (0..k)
+                .map(|f| (f, true))
+                .chain((0..k).rev().map(|f| (f, false)));
+            for (factor, lower) in parts {
+                let (digit, stride) = (tuple[factor], self.strides[factor]);
+                let (targets, values) = self.factors[factor].rate_matrix().row(digit);
+                let below = splits[factor][digit];
+                let part = if lower {
+                    0..below
+                } else {
+                    below..targets.len()
+                };
+                let base = state - digit * stride;
+                cols.extend(targets[part.clone()].iter().map(|&t| base + t * stride));
+                rates.extend_from_slice(&values[part]);
+            }
+            row_offsets.push(cols.len());
+        });
+        let labels = self.cylinder_labels()?.into_iter().collect();
+        let mut chain = Ctmc::from_csr(row_offsets, cols, rates, 0, labels)?;
+        chain.set_initial_distribution(self.joint_initial()?)?;
+        Ok(chain)
     }
 
     /// Partitions the factors into interchangeability classes: factors whose
@@ -493,41 +563,33 @@ impl QuotientProduct {
     /// measure solved on orbit representatives equals the unreduced product
     /// exactly. Two identical factors of `n` blocks fold `n²` tuples to
     /// `n(n+1)/2` orbits — the promised halving — **before** the joint chain
-    /// is ever materialised.
+    /// is ever materialised. One walk numbers the orbits: a tuple with every
+    /// class sorted opens one, and any other joins the orbit of its sorted
+    /// form, the orbit's least tuple, which the walk visited first.
     pub fn orbit(&self) -> Option<ProductOrbit> {
-        let classes = FactorClasses::new(
-            self.factor_classes(),
-            self.factors.iter().map(Ctmc::num_states).collect(),
-        )
-        .expect("factors of one class are identical, so sizes match");
+        let classes = FactorClasses::new(self.factor_classes(), self.sizes.clone())
+            .expect("factors of one class are identical, so sizes match");
         if !classes.has_symmetry() {
             return None;
         }
         let mut representatives = Vec::with_capacity(classes.num_orbits());
-        let mut orbit_index: HashMap<usize, usize> = HashMap::with_capacity(classes.num_orbits());
         let mut orbit_sizes = Vec::with_capacity(classes.num_orbits());
-        for joint in 0..self.num_states {
-            let tuple = self.tuple_of(joint);
-            if classes.is_canonical(&tuple) {
-                orbit_index.insert(joint, representatives.len());
-                orbit_sizes.push(classes.orbit_size(&tuple));
-                representatives.push(joint);
-            }
-        }
-        // The dense joint → orbit table: every projection, expansion and
-        // materialisation pass scans all joint states (or transitions), so
-        // the per-state canonicalisation is paid once here and every later
-        // lookup is one array read.
-        let orbit_of = (0..self.num_states)
-            .map(|joint| {
-                let mut tuple = self.tuple_of(joint);
-                classes.canonicalize(&mut tuple);
+        let mut orbit_of = Vec::with_capacity(self.num_states);
+        let mut sorted = vec![0; self.factors.len()];
+        self.for_each_tuple(0..self.num_states, |state, tuple| {
+            sorted.copy_from_slice(tuple);
+            classes.canonicalize(&mut sorted);
+            if sorted == tuple {
+                orbit_of.push(representatives.len());
+                orbit_sizes.push(classes.orbit_size(tuple));
+                representatives.push(state);
+            } else {
                 let representative = self
-                    .index_of(&tuple)
+                    .index_of(&sorted)
                     .expect("canonical tuples stay in range");
-                orbit_index[&representative]
-            })
-            .collect();
+                orbit_of.push(orbit_of[representative]);
+            }
+        });
         Some(ProductOrbit {
             classes,
             representatives,
@@ -600,15 +662,11 @@ impl ProductOrbit {
         product: &QuotientProduct,
         mask: &[bool],
     ) -> Result<Vec<bool>, LumpError> {
-        let values: Vec<f64> = mask.iter().map(|&b| f64::from(u8::from(b))).collect();
-        Ok(self
-            .project_values(product, &values)?
-            .into_iter()
-            .map(|v| v != 0.0)
-            .collect())
+        self.project(product, mask, |a, b| a == b)
     }
 
-    /// Projects orbit-constant joint values onto the orbits.
+    /// Projects orbit-constant joint values onto the orbits; constancy is
+    /// checked on the bit patterns.
     ///
     /// # Errors
     ///
@@ -618,16 +676,24 @@ impl ProductOrbit {
         product: &QuotientProduct,
         values: &[f64],
     ) -> Result<Vec<f64>, LumpError> {
+        self.project(product, values, |a, b| a.to_bits() == b.to_bits())
+    }
+
+    fn project<T: Copy>(
+        &self,
+        product: &QuotientProduct,
+        values: &[T],
+        same: impl Fn(T, T) -> bool,
+    ) -> Result<Vec<T>, LumpError> {
         if values.len() != product.num_states() {
             return Err(LumpError::DimensionMismatch {
                 expected: product.num_states(),
                 actual: values.len(),
             });
         }
-        let out: Vec<f64> = self.representatives.iter().map(|&r| values[r]).collect();
-        for (joint, &value) in values.iter().enumerate() {
-            let orbit = self.orbit_of(product, joint);
-            if out[orbit].to_bits() != value.to_bits() {
+        let out: Vec<T> = self.representatives.iter().map(|&r| values[r]).collect();
+        for (&orbit, &value) in self.orbit_of.iter().zip(values) {
+            if !same(out[orbit], value) {
                 return Err(LumpError::NotBlockConstant {
                     what: "joint values".to_string(),
                     block: orbit,
@@ -677,15 +743,16 @@ impl ProductOrbit {
 
     /// Materialises the orbit-quotient chain.
     ///
-    /// Each orbit's row is read off its representative: the aggregate rate
-    /// into a target orbit is the sum of the representative's Kronecker-sum
-    /// rates into that orbit's tuples (constant across the orbit because the
-    /// folded permutations are automorphisms). Rows are sharded over the
-    /// worker pool in orbit order with a fixed per-row accumulation order
-    /// (factors in tuple order, factor transitions in CSR order, targets in
-    /// ascending orbit order), so the chain is bit-identical for every
-    /// thread count. The initial distribution aggregates the product of the
-    /// factor initials; every factor label is attached as its orbit-folded
+    /// Each orbit's row is read off its representative on the joint row
+    /// walk of [`QuotientProduct::materialize`]: the aggregate rate into a
+    /// target orbit is the sum of the representative's Kronecker-sum rates
+    /// into that orbit's tuples (constant across the orbit because the
+    /// folded permutations are automorphisms). The moves are collected as
+    /// `(target orbit, rate)` pairs, factors in tuple order and each in CSR
+    /// order, and stably sorted by target, so each target's rates add from
+    /// 0.0 in that order. The write is serial, so `_exec` changes nothing.
+    /// The initial distribution aggregates the product of the factor
+    /// initials; every factor label is attached as its orbit-folded
     /// cylinder under `{factor}/{label}` when it is class-symmetric and
     /// dropped otherwise.
     ///
@@ -695,69 +762,46 @@ impl ProductOrbit {
     pub fn materialize(
         &self,
         product: &QuotientProduct,
-        exec: &ExecOptions,
+        _exec: &ExecOptions,
     ) -> Result<Ctmc, LumpError> {
-        let mut builder = CtmcBuilder::new(self.num_orbits());
-        let workers = exec
-            .workers_for(product.num_transitions())
-            .min(self.num_orbits().max(1));
-        let shards = exec::shard_ranges(self.num_orbits(), workers);
-        let triplet_shards: Vec<Vec<(usize, usize, f64)>> =
-            exec::map_ordered(&shards, *exec, |range| {
-                let mut triplets = Vec::new();
-                for orbit in range.clone() {
-                    let source = self.representatives[orbit];
-                    // (target orbit, rate) aggregated in ascending target
-                    // order; within a target, rates add in factor-then-CSR
-                    // encounter order.
-                    let mut outgoing: std::collections::BTreeMap<usize, f64> =
-                        std::collections::BTreeMap::new();
-                    for (factor, chain) in product.factors.iter().enumerate() {
-                        let stride = product.strides[factor];
-                        let local = (source / stride) % chain.num_states();
-                        let (cols, values) = chain.rate_matrix().row(local);
-                        for (&target, &rate) in cols.iter().zip(values.iter()) {
-                            let neighbor = source + (target * stride) - (local * stride);
-                            let target_orbit = self.orbit_of(product, neighbor);
-                            if target_orbit != orbit {
-                                *outgoing.entry(target_orbit).or_insert(0.0) += rate;
-                            }
-                        }
-                    }
-                    for (target, rate) in outgoing {
-                        triplets.push((orbit, target, rate));
+        let mut row_offsets = Vec::with_capacity(self.num_orbits() + 1);
+        let (mut cols, mut rates) = (Vec::new(), Vec::new());
+        let mut outgoing: Vec<(usize, f64)> = Vec::new();
+        row_offsets.push(0);
+        product.for_each_tuple(0..product.num_states, |state, tuple| {
+            let orbit = self.orbit_of[state];
+            if self.representatives[orbit] != state {
+                return;
+            }
+            outgoing.clear();
+            for (factor, (&digit, &stride)) in tuple.iter().zip(&product.strides).enumerate() {
+                let (targets, values) = product.factors[factor].rate_matrix().row(digit);
+                let base = state - digit * stride;
+                for (&target, &rate) in targets.iter().zip(values) {
+                    let target = self.orbit_of[base + target * stride];
+                    if target != orbit {
+                        outgoing.push((target, rate));
                     }
                 }
-                triplets
-            });
-        for triplets in triplet_shards {
-            for (from, to, rate) in triplets {
-                builder.add_transition(from, to, rate)?;
             }
-        }
+            outgoing.sort_by_key(|&(target, _)| target);
+            for run in outgoing.chunk_by(|a, b| a.0 == b.0) {
+                cols.push(run[0].0);
+                rates.push(run.iter().fold(0.0, |total, &(_, rate)| total + rate));
+            }
+            row_offsets.push(cols.len());
+        });
 
-        let joint_initial = product.product_distribution(
-            &product
-                .factors
-                .iter()
-                .map(|chain| chain.initial_distribution().to_vec())
-                .collect::<Vec<_>>(),
+        let labels: BTreeMap<String, Vec<bool>> = product
+            .cylinder_labels()?
+            .into_iter()
+            .filter_map(|(name, joint)| Some((name, self.project_mask(product, &joint).ok()?)))
+            .collect();
+        let mut chain = Ctmc::from_csr(row_offsets, cols, rates, 0, labels)?;
+        chain.set_initial_distribution(
+            self.aggregate_distribution(product, &product.joint_initial()?),
         )?;
-        builder.set_initial_distribution(self.aggregate_distribution(product, &joint_initial))?;
-
-        for (factor, (name, chain)) in product.names.iter().zip(product.factors.iter()).enumerate()
-        {
-            let labels: Vec<String> = chain.label_names().map(str::to_string).collect();
-            for label in labels {
-                let mask = chain.label(&label).expect("name came from the chain");
-                let joint = product.expand_mask(factor, mask)?;
-                if let Ok(orbit_mask) = self.project_mask(product, &joint) {
-                    builder.add_label_mask(format!("{name}/{label}"), orbit_mask)?;
-                }
-            }
-        }
-
-        Ok(builder.build()?)
+        Ok(chain)
     }
 }
 
@@ -770,18 +814,16 @@ impl ProductOrbit {
 /// thread count — the same contract as the CSR exec kernels.
 #[derive(Debug, Clone, Copy)]
 pub struct KroneckerSum<'a> {
-    factors: &'a [Ctmc],
-    transposed: &'a [SparseMatrix],
-    strides: &'a [usize],
-    num_states: usize,
+    product: &'a QuotientProduct,
 }
 
 impl KroneckerSum<'_> {
     /// Shared kernel: `y[s] = Σᵢ Σ_{(c,v) ∈ matricesᵢ.row(tupleᵢ(s))}
     /// v · x[s with tupleᵢ ↦ c]`. With the factor rate matrices this is
     /// `y = A·x` (outgoing transitions); with the transposes it is `y = x·A`
-    /// (incoming transitions). Rows are sharded contiguously; each output
-    /// entry is accumulated by exactly one worker in factor-then-CSR order.
+    /// (incoming transitions). Rows are sharded contiguously, each shard
+    /// walking its tuples as an odometer; each output entry is accumulated
+    /// by exactly one worker in factor-then-CSR order.
     fn multiply(
         &self,
         matrices: &[&SparseMatrix],
@@ -789,42 +831,39 @@ impl KroneckerSum<'_> {
         y: &mut [f64],
         exec: &ExecOptions,
     ) -> Result<(), CtmcError> {
-        if x.len() != self.num_states {
+        let product = self.product;
+        let n = product.num_states;
+        if x.len() != n {
             return Err(CtmcError::DimensionMismatch {
-                expected: self.num_states,
+                expected: n,
                 actual: x.len(),
             });
         }
-        if y.len() != self.num_states {
+        if y.len() != n {
             return Err(CtmcError::DimensionMismatch {
-                expected: self.num_states,
+                expected: n,
                 actual: y.len(),
             });
         }
         let work: usize = matrices
             .iter()
-            .zip(self.factors.iter())
-            .map(|(m, chain)| {
-                m.num_entries()
-                    .saturating_mul(self.num_states / chain.num_states())
-            })
+            .zip(&product.sizes)
+            .map(|(m, &size)| m.num_entries().saturating_mul(n / size))
             .fold(0usize, usize::saturating_add);
-        let workers = exec.workers_for(work).min(self.num_states.max(1));
+        let workers = exec.workers_for(work).min(n.max(1));
         exec::for_each_shard(y, workers, |start, shard| {
-            for (offset, slot) in shard.iter_mut().enumerate() {
-                let s = start + offset;
+            product.for_each_tuple(start..start + shard.len(), |s, tuple| {
                 let mut acc = 0.0;
-                for (factor, matrix) in matrices.iter().enumerate() {
-                    let n = self.factors[factor].num_states();
-                    let stride = self.strides[factor];
-                    let local = (s / stride) % n;
+                for ((matrix, &stride), &local) in matrices.iter().zip(&product.strides).zip(tuple)
+                {
+                    let base = s - local * stride;
                     let (cols, values) = matrix.row(local);
-                    for (&c, &v) in cols.iter().zip(values.iter()) {
-                        acc += v * x[s + c * stride - local * stride];
+                    for (&c, &v) in cols.iter().zip(values) {
+                        acc += v * x[base + c * stride];
                     }
                 }
-                *slot = acc;
-            }
+                shard[s - start] = acc;
+            });
         });
         Ok(())
     }
@@ -832,11 +871,11 @@ impl KroneckerSum<'_> {
 
 impl LinearOperator for KroneckerSum<'_> {
     fn num_rows(&self) -> usize {
-        self.num_states
+        self.product.num_states
     }
 
     fn num_cols(&self) -> usize {
-        self.num_states
+        self.product.num_states
     }
 
     /// `y = x · (⊕ᵢ Rᵢ)`: every output entry gathers its *incoming*
@@ -847,7 +886,7 @@ impl LinearOperator for KroneckerSum<'_> {
         y: &mut [f64],
         exec: &ExecOptions,
     ) -> Result<(), CtmcError> {
-        let matrices: Vec<&SparseMatrix> = self.transposed.iter().collect();
+        let matrices: Vec<&SparseMatrix> = self.product.transposed.iter().collect();
         self.multiply(&matrices, x, y, exec)
     }
 
@@ -860,6 +899,7 @@ impl LinearOperator for KroneckerSum<'_> {
         exec: &ExecOptions,
     ) -> Result<(), CtmcError> {
         let matrices: Vec<&SparseMatrix> = self
+            .product
             .factors
             .iter()
             .map(|chain| chain.rate_matrix())
@@ -870,6 +910,8 @@ impl LinearOperator for KroneckerSum<'_> {
 
 #[cfg(test)]
 mod tests {
+    use ctmc::CtmcBuilder;
+
     use super::*;
 
     /// A repairable two-state component: up (0) ⇄ down (1).
